@@ -275,10 +275,7 @@ def cmd_cover(args) -> int:
         excluded = [origin]
     elif args.points:
         with open(args.points, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        p, m = raw["p"], raw["M"]
-        points = [tuple(t) for t in raw["points"]]
-        excluded = [tuple(t) for t in raw.get("excluded", [])]
+            p, m, points, excluded = covering.point_set_from_json(json.load(fh))
     else:
         print("give a point-set file or --phikm-origin", file=sys.stderr)
         return 2
@@ -311,7 +308,7 @@ def cmd_cover(args) -> int:
     verdict = covering.verify_cover(cover)
     report.update({"feasible": True, "minimum": count, "cover": cover.to_json(), "verified": verdict["passed"]})
     _emit(report, args)
-    return 0
+    return 0 if verdict["passed"] else 1
 
 
 def cmd_gowers(args) -> int:
@@ -440,7 +437,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (systems.SystemValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (systems.InputValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, analysis.EnumerationGuardExceeded, SearchGuardExceeded) as exc:

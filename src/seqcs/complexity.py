@@ -6,6 +6,8 @@ covers along an ordered sequence of forms.  Searches are exact: candidate
 parts are the maximal admissible closures (a part can always be grown to the
 full intersection of its span with the allowed forms, so restricting to
 maximal closures loses no covers), and the set-cover step is branch and bound.
+The closures come from `covering.closure_pool`, the same closure-lattice walk
+that yields the affine-span pools of `seqcs.covering` from lifted points.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .covering import SearchGuardExceeded, exact_set_cover
-from .field import SpanBasis, rank, span_basis, tensor_power
-from .systems import LinearSystem
+from .covering import SearchGuardExceeded, closure_pool, exact_set_cover
+from .field import rank, span_basis, tensor_power
+from .systems import InputValidationError, LinearSystem, is_integer
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,47 @@ class WitnessCertificate:
         }
 
     @staticmethod
-    def from_json(raw: dict) -> "WitnessCertificate":
+    def from_json(raw) -> "WitnessCertificate":
+        """Certificate from its JSON form, collecting every structural violation.
+
+        Index ranges are left to `verify_witness`: an out-of-range index is a
+        failed certificate, not a malformed file.
+        """
+        if not isinstance(raw, dict):
+            raise InputValidationError(["certificate is not a JSON object"])
+        violations: list[str] = []
+        if not isinstance(raw.get("system_hash"), str):
+            violations.append("system_hash missing or not a string")
+        for key in ("i", "k"):
+            if not is_integer(raw.get(key)):
+                violations.append(f"{key} missing or not an integer")
+
+        def index_list(val, where: str) -> None:
+            if not isinstance(val, list) or not all(is_integer(x) for x in val):
+                violations.append(f"{where} missing or not a list of integers")
+
+        index_list(raw.get("sequence"), "sequence")
+        covers = raw.get("covers")
+        if not isinstance(covers, list):
+            violations.append("covers missing or not a list")
+            covers = []
+        for n, c in enumerate(covers):
+            if not isinstance(c, dict):
+                violations.append(f"covers[{n}] is not an object")
+                continue
+            index_list(c.get("targets"), f"covers[{n}].targets")
+            parts = c.get("parts")
+            if not isinstance(parts, list):
+                violations.append(f"covers[{n}].parts missing or not a list")
+                continue
+            for t, part in enumerate(parts):
+                index_list(part, f"covers[{n}].parts[{t}]")
+        if violations:
+            raise InputValidationError(violations)
         seq = tuple(raw["sequence"])
         covers = tuple(
             CoverCertificate(tuple(c["targets"]), tuple(tuple(x) for x in c["parts"]), raw["k"])
-            for c in raw["covers"]
+            for c in covers
         )
         return WitnessCertificate(raw["system_hash"], raw["i"], raw["k"], seq, covers)
 
@@ -71,73 +109,34 @@ def _admissible_pool(system: LinearSystem, excluded: tuple[int, ...], node_guard
     hence inside every span).  A part is the set of allowed indices whose form
     lies in some subspace avoiding all excluded forms; maximal parts suffice.
     """
-    p, d = system.p, system.d
-    forms = system.forms
-    excluded_vectors = [forms[t] for t in excluded]
-    if any(not any(v) for v in excluded_vectors):
-        return None
     excluded_set = set(excluded)
     allowed = [j for j in range(system.r) if j not in excluded_set]
-
-    def admissible(basis: SpanBasis) -> bool:
-        return not any(basis.contains(v) for v in excluded_vectors)
-
-    def closure_of(basis: SpanBasis) -> frozenset[int]:
-        return frozenset(j for j in allowed if basis.contains(forms[j]))
-
-    seen: dict[frozenset[int], SpanBasis] = {}
-    queue: list[frozenset[int]] = []
-    for j in allowed:
-        basis = SpanBasis(p, d).extended(forms[j])
-        if not admissible(basis):
-            continue
-        cl = closure_of(basis)
-        if cl not in seen:
-            seen[cl] = basis
-            queue.append(cl)
-    maximal: list[frozenset[int]] = []
-    visited = 0
-    while queue:
-        cl = queue.pop()
-        visited += 1
-        if visited > node_guard:
-            raise SearchGuardExceeded("admissible-part enumeration passed the node budget")
-        basis = seen[cl]
-        extendable = False
-        for j in allowed:
-            if j in cl:
-                continue
-            grown = basis.extended(forms[j])
-            if not admissible(grown):
-                continue
-            extendable = True
-            ncl = closure_of(grown)
-            if ncl not in seen:
-                seen[ncl] = grown
-                queue.append(ncl)
-        if not extendable:
-            maximal.append(cl)
-    return sorted(maximal, key=sorted)
+    forms = system.forms
+    vectors = [forms[j] for j in allowed]
+    pool = closure_pool(vectors, [forms[t] for t in excluded], system.p, system.d, node_guard)
+    return None if pool is None else [frozenset(allowed[pos] for pos in cl) for cl in pool]
 
 
 def admissible_cover(
     system: LinearSystem,
     to_cover,
     excluded,
-    max_parts: int,
+    max_parts: int | None,
     node_guard: int = 10**8,
 ) -> CoverCertificate | None:
     """Cover of `to_cover` by <= max_parts admissible parts, or None if impossible.
 
     Exact: None is returned only when no such cover exists.  Deterministic:
     the lexicographically least minimum-size cover under the sorted part order.
+    With max_parts None the size is unbounded and the certificate's k is the
+    least one the cover proves, max(parts - 1, 0).
     """
     targets = tuple(excluded)
     goal = tuple(dict.fromkeys(to_cover))
     if set(goal) & set(targets):
         raise ValueError("to_cover and excluded overlap")
     if not goal:
-        return CoverCertificate(targets, (), max(max_parts - 1, -1))
+        return CoverCertificate(targets, (), 0 if max_parts is None else max(max_parts - 1, -1))
     pool = _admissible_pool(system, targets, node_guard)
     if pool is None:
         return None
@@ -147,7 +146,7 @@ def admissible_cover(
     if picked is None:
         return None
     parts = tuple(tuple(sorted(pool[ci])) for ci in picked)
-    return CoverCertificate(targets, parts, max_parts - 1)
+    return CoverCertificate(targets, parts, max(len(parts) - 1, 0) if max_parts is None else max_parts - 1)
 
 
 def cs_complexity_at(
@@ -159,20 +158,9 @@ def cs_complexity_at(
     other form is a scalar multiple of form i, so every part holding it is
     inadmissible).
     """
-    goal = tuple(j for j in range(system.r) if j != i)
-    if not goal:
-        return 0, CoverCertificate((i,), (), 0)
-    pool = _admissible_pool(system, (i,), node_guard)
-    if pool is None:
-        return None, None
-    position = {j: pos for pos, j in enumerate(goal)}
-    restricted = [frozenset(position[j] for j in part if j in position) for part in pool]
-    picked = exact_set_cover(len(goal), restricted, None, node_guard)
-    if picked is None:
-        return None, None
-    s = max(len(picked) - 1, 0)
-    parts = tuple(tuple(sorted(pool[ci])) for ci in picked)
-    return s, CoverCertificate((i,), parts, s)
+    others = [j for j in range(system.r) if j != i]
+    cert = admissible_cover(system, others, (i,), None, node_guard)
+    return (None, None) if cert is None else (cert.k, cert)
 
 
 def sequential_witness(
@@ -238,10 +226,6 @@ def sequential_witness(
 class WitnessReport:
     passed: bool
     failures: list[dict] = field(default_factory=list)
-
-    @property
-    def first_violation(self) -> dict | None:
-        return self.failures[0] if self.failures else None
 
     def to_json(self) -> dict:
         return {"passed": self.passed, "failures": self.failures}

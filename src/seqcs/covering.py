@@ -1,18 +1,22 @@
 """Exact covering of point sets in F_p^M by affine subspaces avoiding excluded points.
 
 Candidate pools are finite and complete: either all affine hyperplanes that
-miss the excluded points, or the affine spans of subsets of the target set
-(generated as a closure lattice, which enumerates every distinct span without
-walking all subsets).  Minimum covers are found by branch and bound and are
-exact; a node guard aborts instead of returning an unproven answer.
+miss the excluded points, or the affine spans of subsets of the target set.
+The spans come from `closure_pool`, the one closure-lattice walk of the
+package: it enumerates every distinct span without walking all subsets, and
+serves both linear spans (the parts of `seqcs.complexity`) and affine spans,
+which are linear spans of the points lifted to (1, s).  Minimum covers are
+found by branch and bound and are exact; a node guard aborts instead of
+returning an unproven answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
-from .field import Prime, Vector, rref, span_basis, vec, vec_sub
+from .field import Prime, SpanBasis, Vector, completing_transform, is_prime, span_basis, vec, vec_sub
+from .systems import InputValidationError, is_integer
 
 
 class SearchGuardExceeded(RuntimeError):
@@ -25,26 +29,20 @@ class AffineSubspace:
 
     Directions are the RREF basis of the direction space and the basepoint
     has zero coordinates at the pivot columns, so equal subspaces compare
-    equal as dataclasses.
+    equal as dataclasses.  `basis` holds the same rows as a SpanBasis, so a
+    membership test is one reduction; build instances with the constructors.
     """
 
     p: int
     ambient_dim: int
     basepoint: Vector
     directions: tuple[Vector, ...]
+    basis: SpanBasis = field(compare=False, repr=False)
 
     @staticmethod
     def make(p: int, basepoint, directions) -> "AffineSubspace":
-        dim = len(basepoint)
-        reduced, rnk, pivots = rref(directions, p) if directions else ((), 0, [])
-        rows = reduced[:rnk]
-        base = list(vec(basepoint, p))
-        for row, piv in zip(rows, pivots):
-            c = base[piv]
-            if c:
-                for j in range(dim):
-                    base[j] = (base[j] - c * row[j]) % p
-        return AffineSubspace(p, dim, tuple(base), rows)
+        basis = span_basis(directions, p, len(basepoint))
+        return AffineSubspace(p, basis.dim, basis.reduce(basepoint), basis.rows, basis)
 
     @staticmethod
     def from_points(points, p: int) -> "AffineSubspace":
@@ -56,28 +54,16 @@ class AffineSubspace:
     @staticmethod
     def from_hyperplane(normal, const: int, p: int) -> "AffineSubspace":
         """Solution set of normal·x = const as a subspace object."""
-        dim = len(normal)
-        piv = next(j for j, c in enumerate(normal) if c % p)
-        inv = pow(normal[piv] % p, -1, p)
-        base = [0] * dim
-        base[piv] = (const * inv) % p
-        dirs = []
-        for t in range(dim):
-            if t == piv:
-                continue
-            d = [0] * dim
-            d[t] = 1
-            d[piv] = (-normal[t] * inv) % p
-            dirs.append(d)
-        return AffineSubspace.make(p, base, dirs)
+        cols = list(zip(*completing_transform(normal, p)))
+        return AffineSubspace.make(p, [const * x for x in cols[0]], cols[1:])
 
     @property
     def dim(self) -> int:
         return len(self.directions)
 
     def contains(self, point) -> bool:
-        diff = vec_sub(point, self.basepoint, self.p)
-        return span_basis(self.directions, self.p, self.ambient_dim).contains(diff)
+        # the basepoint is reduced, so point - basepoint is a direction iff they reduce alike
+        return self.basis.reduce(point) == self.basepoint
 
     def to_json(self) -> dict:
         return {"basepoint": list(self.basepoint), "directions": [list(d) for d in self.directions]}
@@ -204,46 +190,50 @@ def exact_set_cover(
     return chosen
 
 
-def _span_candidates(points: list[Vector], excluded: list[Vector], p: int, M: int, node_guard: int):
-    """Maximal admissible affine spans of subsets of `points`, as index sets.
+def closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
+    """Maximal admissible closures of `vectors`, as index sets sorted by content.
 
-    Closure lattice walk: every affine span of a subset shows up as the
-    closure of some chain of single-point extensions, so the pool is complete
-    while only distinct spans are visited.
+    The closure of a span is the set of indices whose vector lies in it; the
+    span is admissible when it contains no excluded vector.  Closure-lattice
+    walk: every span of a subset shows up as the closure of some chain of
+    single-vector extensions, so the pool is complete while only distinct
+    closures are visited.  Returns None when an excluded vector is zero, hence
+    inside every span.  Raises SearchGuardExceeded past `node_guard` visits.
     """
-    def closure_of(subspace: AffineSubspace) -> frozenset[int]:
-        return frozenset(i for i, t in enumerate(points) if subspace.contains(t))
+    if any(not any(v) for v in excluded):
+        return None
 
-    def admissible(subspace: AffineSubspace) -> bool:
-        return not any(subspace.contains(a) for a in excluded)
+    def admissible(basis: SpanBasis) -> bool:
+        return not any(basis.contains(v) for v in excluded)
 
-    seen: dict[frozenset[int], AffineSubspace] = {}
+    def closure_of(basis: SpanBasis) -> frozenset[int]:
+        return frozenset(j for j, v in enumerate(vectors) if basis.contains(v))
+
+    seen: dict[frozenset[int], SpanBasis] = {}
     queue: list[frozenset[int]] = []
-    for i, t in enumerate(points):
-        sub = AffineSubspace.from_points([t], p)
-        if not admissible(sub):
+    for v in vectors:
+        basis = SpanBasis(p, dim).extended(v)
+        if not admissible(basis):
             continue
-        cl = closure_of(sub)
+        cl = closure_of(basis)
         if cl not in seen:
-            seen[cl] = sub
+            seen[cl] = basis
             queue.append(cl)
-    maximal: dict[frozenset[int], AffineSubspace] = {}
+    maximal: list[frozenset[int]] = []
     visited = 0
     while queue:
         cl = queue.pop()
         visited += 1
         if visited > node_guard:
-            raise SearchGuardExceeded("affine-span pool generation passed the node budget")
-        sub = seen[cl]
+            raise SearchGuardExceeded(
+                f"closure-lattice walk passed {node_guard} nodes ({len(seen)} closures found)"
+            )
+        basis = seen[cl]
         extendable = False
-        for j in range(len(points)):
+        for j, v in enumerate(vectors):
             if j in cl:
                 continue
-            grown = AffineSubspace.make(
-                p,
-                sub.basepoint,
-                list(sub.directions) + [vec_sub(points[j], sub.basepoint, p)],
-            )
+            grown = basis.extended(v)
             if not admissible(grown):
                 continue
             extendable = True
@@ -252,9 +242,53 @@ def _span_candidates(points: list[Vector], excluded: list[Vector], p: int, M: in
                 seen[ncl] = grown
                 queue.append(ncl)
         if not extendable:
-            maximal[cl] = sub
-    items = sorted(maximal.items(), key=lambda kv: sorted(kv[0]))
-    return [kv[0] for kv in items], [kv[1] for kv in items]
+            maximal.append(cl)
+    return sorted(maximal, key=sorted)
+
+
+def _span_candidates(points: list[Vector], excluded: list[Vector], p: int, M: int, node_guard: int):
+    """Maximal admissible affine spans of subsets of `points`, as index sets and subspaces.
+
+    Affine spans are linear spans after lifting each point s to (1, s).
+    """
+    lifted = [(1,) + t for t in points]
+    member_sets = closure_pool(lifted, [(1,) + a for a in excluded], p, M + 1, node_guard)
+    pool = [AffineSubspace.from_points([points[i] for i in sorted(cl)], p) for cl in member_sets]
+    return member_sets, pool
+
+
+def point_set_from_json(raw) -> tuple[Prime, int, list[Vector], list[Vector]]:
+    """(p, M, points, excluded) from a point-set description, collecting all violations.
+
+    Coordinates may be arbitrary integers; they are reduced mod p on load.
+    """
+    if not isinstance(raw, dict):
+        raise InputValidationError(["point set is not a JSON object"])
+    violations: list[str] = []
+    p, M = raw.get("p"), raw.get("M")
+    if not is_integer(p):
+        violations.append("modulus missing or not an integer")
+    elif not is_prime(p):
+        violations.append(f"modulus not prime: {p}")
+    if not is_integer(M) or M < 1:
+        violations.append("M missing or not a positive integer")
+        M = None
+    lists = {"points": raw.get("points"), "excluded": raw.get("excluded", [])}
+    for key, pts in lists.items():
+        if not isinstance(pts, list):
+            violations.append(f"{key} missing or not a list")
+            continue
+        for n, t in enumerate(pts):
+            if not isinstance(t, list) or not all(is_integer(x) for x in t):
+                violations.append(f"{key}[{n}] is not a list of integers")
+            elif M is not None and len(t) != M:
+                violations.append(f"{key}[{n}] has {len(t)} coordinates, not M={M}")
+    if violations:
+        raise InputValidationError(violations)
+    prime = Prime(p)
+    points = [vec(t, prime) for t in lists["points"]]
+    excluded = [vec(t, prime) for t in lists["excluded"]]
+    return prime, M, points, excluded
 
 
 def min_cover_excluding(

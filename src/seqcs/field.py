@@ -7,7 +7,6 @@ callers may pass arbitrary integers.  All operations are pure.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -51,16 +50,8 @@ def identity(d: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
 
-def vec_add(a: Sequence[int], b: Sequence[int], p: int) -> Vector:
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
 def vec_sub(a: Sequence[int], b: Sequence[int], p: int) -> Vector:
     return tuple((x - y) % p for x, y in zip(a, b))
-
-
-def vec_scale(c: int, a: Sequence[int], p: int) -> Vector:
-    return tuple((c * x) % p for x in a)
 
 
 def vec_mat(v: Sequence[int], m: Matrix, p: int) -> Vector:
@@ -237,23 +228,12 @@ def completing_transform(v: Sequence[int], p: int) -> Matrix:
 
 
 def mat_inverse(m: Matrix, p: int) -> Matrix | None:
-    """Inverse of a square matrix over F_p, or None when singular."""
+    """Inverse of a square matrix over F_p, or None when singular; RREF of [m | I] is [I | m^-1]."""
     d = len(m)
-    aug = [list(vec(m[i], p)) + [1 if j == i else 0 for j in range(d)] for i in range(d)]
-    rnk = 0
-    for col in range(d):
-        piv = next((i for i in range(rnk, d) if aug[i][col]), None)
-        if piv is None:
-            return None
-        aug[rnk], aug[piv] = aug[piv], aug[rnk]
-        inv = pow(aug[rnk][col], -1, p)
-        aug[rnk] = [(x * inv) % p for x in aug[rnk]]
-        for i in range(d):
-            if i != rnk and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[rnk])]
-        rnk += 1
-    return tuple(tuple(row[d:]) for row in aug)
+    red, _, pivots = rref([tuple(row) + e for row, e in zip(m, identity(d))], p)
+    if pivots != list(range(d)):
+        return None
+    return tuple(row[d:] for row in red)
 
 
 def solve_right(m: Matrix, b: Sequence[int], p: int) -> Vector | None:
@@ -272,8 +252,3 @@ def solve_right(m: Matrix, b: Sequence[int], p: int) -> Vector | None:
     for row, piv in zip(red[:rnk], pivots):
         x[piv] = row[ncols]
     return tuple(x)
-
-
-def enumerate_vectors(p: int, d: int) -> Iterable[Vector]:
-    """All of F_p^d in lexicographic order."""
-    return product(range(p), repeat=d)

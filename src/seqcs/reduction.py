@@ -12,7 +12,6 @@ identities rather than assumed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,10 +201,6 @@ class ReductionChain:
             "slot_map": [[orig, conj] for orig, conj in self.slot_map],
             "truncated": self.truncated,
         }
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
 
 
 def build_chain(

@@ -25,12 +25,21 @@ from .field import (
 )
 
 
-class SystemValidationError(ValueError):
-    """Raised on malformed system descriptions; carries one message per violation."""
+class InputValidationError(ValueError):
+    """Raised on malformed input files; carries one message per violation."""
 
     def __init__(self, violations: list[str]):
         self.violations = violations
         super().__init__("; ".join(violations))
+
+
+class SystemValidationError(InputValidationError):
+    """Raised on malformed system descriptions."""
+
+
+def is_integer(x) -> bool:
+    """Whether a JSON value is an integer (booleans excluded)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -46,9 +55,6 @@ class LinearSystem:
     @property
     def d(self) -> int:
         return len(self.forms[0])
-
-    def form(self, i: int) -> Vector:
-        return self.forms[i]
 
     def canonical_json(self) -> str:
         """Canonical serialization used for hashing; labels excluded."""
@@ -67,9 +73,6 @@ class LinearSystem:
             out["labels"] = list(self.labels)
         return out
 
-    def with_forms(self, forms) -> "LinearSystem":
-        return LinearSystem(self.p, tuple(vec(f, self.p) for f in forms))
-
 
 @dataclass(frozen=True)
 class AssociatedSet:
@@ -83,21 +86,17 @@ class AssociatedSet:
     M: int
     points: tuple[Vector, ...]
 
-    def distinct(self) -> list[Vector]:
-        seen: dict[Vector, None] = {}
-        for pt in self.points:
-            seen.setdefault(pt, None)
-        return list(seen)
-
 
 def validate(raw: dict) -> LinearSystem:
     """Build a LinearSystem from a raw description, collecting all violations.
 
     Entries may be arbitrary integers; they are reduced mod p on load.
     """
+    if not isinstance(raw, dict):
+        raise SystemValidationError(["system is not a JSON object"])
     violations: list[str] = []
     p_raw = raw.get("p")
-    if not isinstance(p_raw, int) or isinstance(p_raw, bool):
+    if not is_integer(p_raw):
         violations.append("modulus missing or not an integer")
     elif not is_prime(p_raw):
         violations.append(f"modulus not prime: {p_raw}")
@@ -115,7 +114,7 @@ def validate(raw: dict) -> LinearSystem:
         elif len(row) != width:
             violations.append(f"ragged row {i}: length {len(row)} != {width}")
         for j, e in enumerate(row):
-            if not isinstance(e, int) or isinstance(e, bool):
+            if not is_integer(e):
                 violations.append(f"entry ({i},{j}) is not an integer")
     labels_raw = raw.get("labels")
     if labels_raw is not None:
@@ -175,10 +174,6 @@ def normalize_translation_invariant(
     transform = tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(d))
     normalized = LinearSystem(p, mat_mul(system.forms, transform, p), system.labels)
     return normalized, transform
-
-
-def is_translation_invariant(system: LinearSystem) -> bool:
-    return normalize_translation_invariant(system) is not None
 
 
 def associated_set(system: LinearSystem) -> AssociatedSet:

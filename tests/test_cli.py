@@ -1,18 +1,24 @@
+import hashlib
 import json
 
 import pytest
 
+from seqcs import covering
 from seqcs.cli import main
+from seqcs.covering import AffineCover, AffineSubspace
+from seqcs.phi_km import phi_system
 
 PHI31 = {"p": 5, "forms": [[1, 0], [1, 1], [1, 2]]}
 REMARK_F7 = {"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 3], [1, 2, 3], [1, 3, 3]]}
 REMARK_F23 = {"p": 23, "forms": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 10, 1], [1, 1, 2], [1, 2, 2]]}
+PHI562 = phi_system(5, 6, 2).to_json()
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, payload in [("phi31", PHI31), ("rem1", REMARK_F7), ("rem2", REMARK_F23)]:
+    named = [("phi31", PHI31), ("rem1", REMARK_F7), ("rem2", REMARK_F23), ("phi562", PHI562)]
+    for name, payload in named:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
         paths[name] = str(path)
@@ -45,6 +51,12 @@ def test_analyze_remark_overall(files, capsys):
 def test_analyze_malformed_exits_2(files, capsys):
     bad = files["dir"] / "bad.json"
     bad.write_text(json.dumps({"p": 4, "forms": [[1, 0]]}))
+    assert main(["analyze", str(bad)]) == 2
+
+
+def test_analyze_non_object_exits_2(files, capsys):
+    bad = files["dir"] / "bad.json"
+    bad.write_text(json.dumps([[1, 0]]))
     assert main(["analyze", str(bad)]) == 2
 
 
@@ -130,6 +142,69 @@ def test_cover_point_file(files, capsys, tmp_path):
     code, report = run(capsys, "cover", str(path))
     assert code == 0
     assert report["minimum"] >= 1
+
+
+def test_verify_malformed_certificate_exits_2(files, capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({"i": 0}))
+    assert main(["verify", str(cert_path), files["rem1"]]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "sequence" in err and "covers" in err
+
+
+def test_cover_point_file_without_points_exits_2(capsys, tmp_path):
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({"p": 5, "M": 2, "excluded": [[0, 0]]}))
+    assert main(["cover", str(path)]) == 2
+    assert "points missing" in capsys.readouterr().err
+
+
+def test_cover_point_file_with_wrong_dimension_exits_2(capsys, tmp_path):
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({"p": 5, "M": 2, "points": [[1, 0], [1, 2, 3]], "excluded": [[0, 0]]}))
+    assert main(["cover", str(path)]) == 2
+    assert "points[1] has 3 coordinates" in capsys.readouterr().err
+
+
+def test_cover_unverified_exits_1(capsys, monkeypatch):
+    def bad_cover(p, M, points, excluded, **kwargs):
+        sub = AffineSubspace.make(p, (0, 0), [(1, 0), (0, 1)])  # the whole plane
+        return 1, AffineCover(p, M, (sub,), tuple(points), tuple(excluded))
+
+    monkeypatch.setattr(covering, "min_cover_excluding", bad_cover)
+    code, report = run(capsys, "cover", "--phikm-origin", "--p", "3", "--k", "2", "--M", "2")
+    assert code == 1
+    assert report["verified"] is False
+
+
+# SHA-256 of reports produced before the pool walks were merged; any change in
+# pool order or canonical subspace form shows up here.
+GOLDEN_COVERS = {
+    (3, 4, 3, False): "41fed964bca27e8185715252eff25452af8aff857c014920bfbd701eebe8c915",
+    (3, 4, 3, True): "80fc72e6d1a462c0e8aa876794d24a36e8a5ab80fcafaba33e55e38f08088493",
+    (5, 4, 3, False): "9c705d73de8f81fb328abedd81ef3c0cb34fd3b951ac7f1804af6efdcc40dcc2",
+    (5, 4, 3, True): "2ed69fb71f4046fcdf1e82eab62c9d7bcd1a3fe01753f8cde3043c787386a3a4",
+}
+GOLDEN_ANALYZE = {
+    "phi562": "b064f98892993ac8abd55d4867f3d764d8cc8d23e004d530fc843ab79572d8c6",
+    "rem1": "dced1db0e45e699983f13dbde1a3a1f9895a97d3f35e1bc741b9d41314d19259",
+}
+
+
+@pytest.mark.parametrize("p, k, M, planes", sorted(GOLDEN_COVERS))
+def test_cover_report_bytes_are_pinned(capsys, p, k, M, planes):
+    argv = ["cover", "--phikm-origin", "--p", str(p), "--k", str(k), "--M", str(M)]
+    assert main(argv + ["--hyperplanes-only"] * planes) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_COVERS[p, k, M, planes]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYZE))
+def test_analyze_report_bytes_are_pinned(files, capsys, name):
+    code, report = run(capsys, "analyze", files[name])
+    assert code == 0
+    body = {key: val for key, val in report.items() if key != "config"}
+    assert hashlib.sha256(json.dumps(body, indent=1).encode()).hexdigest() == GOLDEN_ANALYZE[name]
 
 
 def test_reduce_with_numeric_check(files, capsys, tmp_path):
