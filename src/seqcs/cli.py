@@ -64,6 +64,12 @@ def _config(args, **extra) -> dict:
     return cfg
 
 
+def _checked_at(at: int, system) -> int:
+    if not 0 <= at < system.r:
+        raise systems.InputValidationError([f"--at {at}: valid form indices are 0..{system.r - 1}"])
+    return at
+
+
 def cmd_analyze(args) -> int:
     system = systems.load_system(args.system)
     flags = systems.system_flags(system)
@@ -87,7 +93,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_witness(args) -> int:
     system = systems.load_system(args.system)
-    targets = [args.at] if args.at is not None else list(range(system.r))
+    targets = list(range(system.r)) if args.at is None else [_checked_at(args.at, system)]
     results = []
     missing = 0
     for i in targets:
@@ -148,19 +154,22 @@ def cmd_reduce(args) -> int:
     }
     violation = None
     if args.numeric_check and chain.steps:
-        checked = []
+        checked, skipped = [], []
         for idx, step in enumerate(chain.steps):
             try:
                 v = reduction.numeric_step_check(
                     step, args.n, trials=args.trials, seed=args.seed, point_guard=args.point_guard
                 )
-            except analysis.EnumerationGuardExceeded:
+            except analysis.EnumerationGuardExceeded as exc:
+                skipped.append({"step": idx, "reason": str(exc)})
                 continue
             checked.append({"step": idx, "violation": v})
         if checked:
             violation = max(c["violation"] for c in checked)
             report["numeric_checks"] = checked
             report["numeric_max_violation"] = violation
+        if skipped:
+            report["numeric_skipped"] = skipped
     _emit(report, args)
     if chain.truncated:
         return 1
@@ -179,7 +188,7 @@ def cmd_gvn(args) -> int:
             print("no form equals (1, 0, ..., 0); cannot use --at-origin", file=sys.stderr)
             return 2
     elif args.at is not None:
-        i = args.at
+        i = _checked_at(args.at, system)
     else:
         print("one of --at / --at-origin is required", file=sys.stderr)
         return 2

@@ -200,31 +200,28 @@ def tensor_power(v: Sequence[int], m: int, p: int) -> Vector:
     return out
 
 
+def apply_completing(f: Sequence[int], v: Sequence[int], p: int) -> Vector:
+    """f·T for T = completing_transform(v, p), in O(d).
+
+    With piv the first nonzero entry of v and c = f_piv / v_piv, the image is
+    (c, f_t - c·v_t for t != piv, ascending).
+    """
+    w = vec(v, p)
+    piv = next((j for j, x in enumerate(w) if x), None)
+    if piv is None:
+        raise ValueError("zero form cannot be normalized")
+    c = f[piv] * pow(w[piv], -1, p) % p
+    return (c,) + tuple((f[t] - c * w[t]) % p for t in range(len(w)) if t != piv)
+
+
 def completing_transform(v: Sequence[int], p: int) -> Matrix:
     """Invertible d×d matrix T with v·T = (1, 0, ..., 0).
 
     Deterministic: the pivot is the first nonzero entry of v.  Column 0 is
     e_piv / v_piv; the remaining columns e_t - (v_t / v_piv)·e_piv (t != piv,
-    ascending) span the kernel of v.
+    ascending) span the kernel of v.  Row i is e_i·T.
     """
-    w = vec(v, p)
-    d = len(w)
-    piv = next((j for j, x in enumerate(w) if x), None)
-    if piv is None:
-        raise ValueError("zero form cannot be normalized")
-    inv = pow(w[piv], -1, p)
-    cols: list[Vector] = []
-    col0 = [0] * d
-    col0[piv] = inv
-    cols.append(tuple(col0))
-    for t in range(d):
-        if t == piv:
-            continue
-        col = [0] * d
-        col[t] = 1
-        col[piv] = (-w[t] * inv) % p
-        cols.append(tuple(col))
-    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+    return tuple(apply_completing(e, v, p) for e in identity(len(v)))
 
 
 def mat_inverse(m: Matrix, p: int) -> Matrix | None:

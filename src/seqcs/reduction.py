@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import FunctionTable, character_table, get_evaluator, random_one_bounded
 from .complexity import CoverCertificate, WitnessCertificate, verify_witness
-from .field import Matrix, Vector, completing_transform, span_basis, vec_mat
+from .field import Matrix, Vector, apply_completing, completing_transform, span_basis
 from .systems import LinearSystem
 
 
@@ -67,13 +67,14 @@ def _relabel_cover(cover: CoverCertificate, new_index: dict[int, int]) -> CoverC
     )
 
 
-def cs_step(system: LinearSystem, witness: WitnessCertificate, check: bool = True) -> ReductionStep:
+def cs_step(system: LinearSystem, witness: WitnessCertificate) -> ReductionStep:
     """Apply one Cauchy-Schwarz reduction along the witness' first form.
 
     The output system has 2r-2 forms in 2d-1 variables: both blocks carry the
     remaining r-1 transformed forms, the first block on the shared variables,
-    the second on the duplicated ones.  The propagated witness certifies the
-    shortened sequence on the output system and is re-verified before return.
+    the second on the duplicated ones.  The input witness is verified here;
+    the propagated one, which certifies the shortened sequence on the output
+    system, is verified by its consumer: the next step or `build_chain`.
     """
     report = verify_witness(system, witness)
     if not report.passed:
@@ -87,7 +88,7 @@ def cs_step(system: LinearSystem, witness: WitnessCertificate, check: bool = Tru
     new_index = {old: new for new, old in enumerate(permutation)}
     relabeled = [system.forms[old] for old in permutation]
     transform = completing_transform(relabeled[0], p)
-    transformed = [vec_mat(f, transform, p) for f in relabeled]
+    transformed = [apply_completing(f, relabeled[0], p) for f in relabeled]
     assert transformed[0] == (1,) + (0,) * (d - 1)
     transformed_system = LinearSystem(p, tuple(transformed))
 
@@ -118,16 +119,9 @@ def cs_step(system: LinearSystem, witness: WitnessCertificate, check: bool = Tru
     propagated = WitnessCertificate(
         output.digest(), ell - 2, witness.k, tuple(range(ell - 1)), tuple(covers)
     )
-    step = ReductionStep(
+    return ReductionStep(
         system, witness, permutation, transform, transformed_system, output, slots, propagated
     )
-    if check:
-        out_report = verify_witness(output, propagated)
-        if not out_report.passed:
-            raise AssertionError(
-                f"internal consistency alarm: propagated witness failed: {out_report.failures[:3]}"
-            )
-    return step
 
 
 def merged_cover_identities(step: ReductionStep) -> dict:
@@ -207,43 +201,39 @@ def build_chain(
     system: LinearSystem,
     witness: WitnessCertificate,
     max_forms: int = 1 << 12,
-    check: bool = True,
 ) -> ReductionChain:
     """Iterate cs_step until the witness has length 1, tracking function slots.
 
     Every original function index maps to a multiset of (slot, conjugation)
     occurrences in the final system.  Stops early (truncated=True, no base
-    certificate) when the next step would exceed `max_forms` forms.
+    certificate) when the next step would exceed `max_forms` forms.  Each
+    certificate is verified once, by the step that consumes it or, for the
+    last one, here; a failure past the input witness is an internal fault.
     """
     current_system, current_witness = system, witness
     slot_map: tuple[tuple[int, bool], ...] = tuple((j, False) for j in range(system.r))
     steps: list[ReductionStep] = []
-    truncated = False
-    while current_witness.length > 1:
-        if 2 * current_system.r - 2 > max_forms:
-            truncated = True
-            break
-        step = cs_step(current_system, current_witness, check=check)
-        slot_map = tuple(
-            (slot_map[step.permutation[s.source]][0], slot_map[step.permutation[s.source]][1] ^ s.conjugated)
-            for s in step.slots
-        )
-        steps.append(step)
-        current_system, current_witness = step.output_system, step.propagated
-    if truncated:
-        return ReductionChain(
-            system, witness, tuple(steps), current_system, None, None, slot_map, True
-        )
-    return ReductionChain(
-        system,
-        witness,
-        tuple(steps),
-        current_system,
-        current_witness.covers[0],
-        current_witness.i,
-        slot_map,
-        False,
-    )
+    try:
+        while current_witness.length > 1 and 2 * current_system.r - 2 <= max_forms:
+            step = cs_step(current_system, current_witness)
+            slot_map = tuple(
+                (slot_map[step.permutation[s.source]][0], slot_map[step.permutation[s.source]][1] ^ s.conjugated)
+                for s in step.slots
+            )
+            steps.append(step)
+            current_system, current_witness = step.output_system, step.propagated
+        report = verify_witness(current_system, current_witness)
+        if not report.passed:
+            raise InvalidWitness(report)
+    except InvalidWitness as exc:
+        if steps:
+            raise AssertionError(
+                f"internal consistency alarm: propagated witness failed: {exc.report.failures[:3]}"
+            ) from exc
+        raise
+    truncated = current_witness.length > 1
+    base = (None, None) if truncated else (current_witness.covers[0], current_witness.i)
+    return ReductionChain(system, witness, tuple(steps), current_system, *base, slot_map, truncated)
 
 
 def numeric_step_check(

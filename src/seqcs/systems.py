@@ -172,8 +172,7 @@ def normalize_translation_invariant(
             basis = extended
             cols.append(e_t)
     transform = tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(d))
-    normalized = LinearSystem(p, mat_mul(system.forms, transform, p), system.labels)
-    return normalized, transform
+    return change_of_variables(system, transform), transform
 
 
 def associated_set(system: LinearSystem) -> AssociatedSet:

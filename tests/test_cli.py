@@ -274,3 +274,82 @@ def test_out_flag_writes_file(files, capsys, tmp_path):
     assert code == 0
     written = json.loads(out.read_text())
     assert written["p"] == 5
+
+
+def write_certificate(capsys, files, tmp_path):
+    code, report = run(capsys, "witness", files["rem1"], "--k", "1", "--at", "5", "--max-len", "2")
+    assert code == 0
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(report["results"][0]["certificate"]))
+    return str(cert_path)
+
+
+def test_reduce_rejects_an_unverified_base_certificate(files, capsys, tmp_path):
+    # a length-1 certificate whose only part spans the excluded target form
+    bad = {
+        "system_hash": "",
+        "i": 0,
+        "k": 1,
+        "sequence": [0],
+        "covers": [{"targets": [0], "parts": [[1, 2, 3, 4, 5]]}],
+    }
+    cert_path = tmp_path / "bad.json"
+    cert_path.write_text(json.dumps(bad))
+    code, report = run(capsys, "verify", str(cert_path), files["rem1"])
+    assert code == 1 and report["verdict"]["passed"] is False
+    code, report = run(capsys, "reduce", files["rem1"], "--witness", str(cert_path))
+    assert code == 1
+    assert "witness failed verification" in report["error"]
+    assert "chain" not in report
+
+
+@pytest.mark.parametrize("at", ["9", "-1"])
+def test_witness_at_out_of_range_exits_2(files, capsys, at):
+    code = main(["witness", files["rem1"], "--k", "1", "--at", at])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "valid form indices are 0..5" in captured.err
+
+
+@pytest.mark.parametrize("at", ["9", "-1"])
+def test_gvn_at_out_of_range_exits_2(files, capsys, at):
+    code = main(["gvn", "--system", files["rem1"], "--at", at, "--k", "1", "--ell", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "valid form indices are 0..5" in captured.err
+
+
+def test_reduce_numeric_check_lists_skipped_steps(files, capsys, tmp_path):
+    cert_path = write_certificate(capsys, files, tmp_path)
+    code, report = run(
+        capsys, "reduce", files["rem1"], "--witness", cert_path, "--numeric-check", "--point-guard", "10"
+    )
+    assert code == 0
+    assert "numeric_checks" not in report and "numeric_max_violation" not in report
+    assert [s["step"] for s in report["numeric_skipped"]] == [0]
+    assert all(s["reason"] for s in report["numeric_skipped"])
+
+
+# SHA-256 of `reduce` report bodies (config left out), generated before the
+# change of variables and the chain verification were rewritten; any change
+# in the chain JSON shows up here.
+GOLDEN_REDUCE = {
+    "phi342-at-2-1": "57bf99656003e9f7dea856c3ea2c28e3b2f236d0ecd52b87cee0ff22377590b7",
+    "rem1-at-5": "42d7f8e2d78a4e158d81d3c35f18432d394f1c01f7ce48a6e049b505c7d12b48",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REDUCE))
+def test_reduce_report_bytes_are_pinned(files, capsys, tmp_path, name):
+    if name == "rem1-at-5":
+        system, cert_path = files["rem1"], write_certificate(capsys, files, tmp_path)
+    else:
+        system, cert_path = str(tmp_path / "phi342.json"), str(tmp_path / "cert342.json")
+        argv = ["phikm", "--p", "3", "--k", "4", "--M", "2", "--witness", "--at", "2,1"]
+        main(argv + ["--system-out", system, "--cert-out", cert_path, "--out", str(tmp_path / "phikm.json")])
+    code, report = run(capsys, "reduce", system, "--witness", cert_path)
+    assert code == 0
+    body = {key: val for key, val in report.items() if key != "config"}
+    assert hashlib.sha256(json.dumps(body, indent=1).encode()).hexdigest() == GOLDEN_REDUCE[name]

@@ -2,8 +2,10 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from seqcs.field import (
+    apply_completing,
     completing_transform,
     in_affine_span,
     in_span,
@@ -190,3 +192,20 @@ def test_completing_transform_random_invertible():
         t = completing_transform(v, p)
         assert vec_mat(v, t, p) == (1,) + (0,) * (d - 1)
         assert rank(t, p) == d
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7]).flatmap(lambda p: st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(p),
+    st.tuples(*[st.integers(0, p - 1)] * d),
+    st.tuples(*[st.integers(-2 * p, 2 * p)] * d)))))
+def test_apply_completing_is_the_product_with_completing_transform(instance):
+    p, v, f = instance
+    assume(any(v))
+    assert apply_completing(f, v, p) == vec_mat(f, completing_transform(v, p), p)
+    assert apply_completing(v, v, p) == (1,) + (0,) * (len(v) - 1)
+
+
+def test_apply_completing_zero_rejected():
+    with pytest.raises(ValueError, match="zero form"):
+        apply_completing((1, 2), (0, 0), 5)

@@ -201,3 +201,52 @@ def test_step_serialization_round_trip():
     chain = build_chain(REMARK_F7, remark_witness())
     cj = chain.to_json()
     assert cj["steps"][0]["slots"] == [[s.source, s.conjugated] for s in step.slots]
+
+
+def test_chain_verifies_each_certificate_once(monkeypatch):
+    from seqcs import reduction
+
+    calls = []
+
+    def counting(system, cert):
+        calls.append(cert)
+        return verify_witness(system, cert)
+
+    monkeypatch.setattr(reduction, "verify_witness", counting)
+    chain = build_chain(phi_system(3, 4, 2), phi_witness_certificate(3, 4, 2, at=(2, 1)))
+    assert len(chain.steps) == 2
+    assert len(calls) == len(chain.steps) + 1
+    assert calls == [chain.witness] + [step.propagated for step in chain.steps]
+
+
+def test_truncated_chain_without_steps_verifies_the_input_witness():
+    cert = phi_witness_certificate(3, 4, 2)
+    broken = WitnessCertificate(cert.system_hash, cert.i, cert.k, cert.sequence, cert.covers[:-1])
+    with pytest.raises(InvalidWitness):
+        build_chain(phi_system(3, 4, 2), broken, max_forms=4)
+
+
+@pytest.mark.parametrize("case", ["mid-chain", "chain-end", "truncated-end"])
+def test_corrupted_propagated_witness_raises_consistency_alarm(monkeypatch, case):
+    from seqcs import reduction
+    from seqcs.complexity import CoverCertificate
+
+    relabel = reduction._relabel_cover
+
+    def dropping(cover, new_index):
+        out = relabel(cover, new_index)
+        if not out.parts:
+            return out
+        widest = max(range(len(out.parts)), key=lambda t: len(out.parts[t]))
+        parts = tuple(part[1:] if t == widest else part for t, part in enumerate(out.parts))
+        return CoverCertificate(out.targets, parts, out.k)
+
+    monkeypatch.setattr(reduction, "_relabel_cover", dropping)
+    if case == "mid-chain":
+        args = (phi_system(3, 4, 2), phi_witness_certificate(3, 4, 2, at=(2, 1)))
+    elif case == "chain-end":
+        args = (REMARK_F7, remark_witness())
+    else:
+        args = (phi_system(3, 4, 2), phi_witness_certificate(3, 4, 2), 20)
+    with pytest.raises(AssertionError, match="internal consistency alarm"):
+        build_chain(*args)
