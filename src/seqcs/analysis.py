@@ -5,6 +5,12 @@ index (base p, digit 0 least significant) is coordinate t of the point.
 Averages enumerate every assignment; there is no sampling and no Fourier
 shortcut.  Sums use numpy's fixed-order pairwise reduction per chunk and an
 exact compensated sum of the chunk totals, so results are bit-stable.
+
+The U^k recursion derives along one shift h of each pair {h, −h} and counts
+it twice when h ≠ −h: Δ_{−h}f(x) = conj(Δ_h f(x − h)), and every U^j power
+average is invariant under translation and conjugation.  It stays exhaustive
+over the remaining shifts, and _BATCH_BUDGET keeps its working arrays
+cache-sized.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ log = logging.getLogger(__name__)
 DEFAULT_POINT_GUARD = 10**8
 DEFAULT_UK_CAP = 8
 _CHUNK = 1 << 18
-_BATCH_BUDGET = 1 << 24
+_BATCH_BUDGET = 1 << 18
+_CACHE_BYTE_CAP = 256 << 20
 
 
 class EnumerationGuardExceeded(RuntimeError):
@@ -228,16 +235,34 @@ class LambdaEvaluator:
         return complex(math.fsum(reals), math.fsum(imags)) / self.total
 
 
+def _cache_put(cache: dict, key, value, nbytes) -> None:
+    """Insert value, evicting the oldest entries until the cache's bytes fit _CACHE_BYTE_CAP.
+
+    nbytes(entry) gives an entry's bytes; the bytes held are summed from the
+    cache's contents, so a cache emptied from outside is accounted correctly.
+    A value larger than the cap on its own is not cached.
+    """
+    size = nbytes(value)
+    if size > _CACHE_BYTE_CAP:
+        return
+    while cache and sum(nbytes(v) for v in cache.values()) + size > _CACHE_BYTE_CAP:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
+def _evaluator_bytes(evaluator: LambdaEvaluator) -> int:
+    return sum(a.nbytes for a in evaluator._cached_actions or ())
+
+
 _evaluators: dict = {}
 
 
 def get_evaluator(system: LinearSystem, n: int, point_guard: int = DEFAULT_POINT_GUARD) -> LambdaEvaluator:
     key = (int(system.p), system.forms, n)
-    if key not in _evaluators:
-        if len(_evaluators) > 32:
-            _evaluators.clear()
-        _evaluators[key] = LambdaEvaluator(system, n, point_guard)
-    evaluator = _evaluators[key]
+    evaluator = _evaluators.get(key)
+    if evaluator is None:
+        evaluator = LambdaEvaluator(system, n, point_guard)
+        _cache_put(_evaluators, key, evaluator, _evaluator_bytes)
     if evaluator.total > point_guard:
         raise EnumerationGuardExceeded(
             f"{evaluator.total} assignment points exceed the guard {point_guard}"
@@ -264,7 +289,8 @@ _shift_cache: dict = {}
 def shift_matrix(p: int, n: int) -> np.ndarray:
     """SHIFT[h, x] = index of x + h; cached per group."""
     key = (p, n)
-    if key not in _shift_cache:
+    out = _shift_cache.get(key)
+    if out is None:
         size = p**n
         if size * size > 1 << 24:
             raise EnumerationGuardExceeded(f"shift matrix for group of size {size} too large")
@@ -276,25 +302,44 @@ def shift_matrix(p: int, n: int) -> np.ndarray:
         for t in range(n):
             out += ((xd[t] + hd[t]) % p) * mult
             mult *= p
-        if len(_shift_cache) > 16:
-            _shift_cache.clear()
-        _shift_cache[key] = out
-    return _shift_cache[key]
+        _cache_put(_shift_cache, key, out, lambda a: a.nbytes)
+    return out
 
 
-def _u_power_batch(batch: np.ndarray, k: int, shift: np.ndarray) -> np.ndarray:
-    """‖g‖_{U^k}^{2^k} for each row g of `batch` via the derivative recursion."""
+def _negation_pairs(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One representative h <= −h of each pair {h, −h} in F_p^n, weighted by the pair's size."""
+    idx = np.arange(p**n, dtype=np.int64)
+    neg = np.zeros_like(idx)
+    mult = 1
+    for digits in digit_matrix(idx, p, n):
+        neg += (-digits % p) * mult
+        mult *= p
+    reps = idx[idx <= neg]
+    return reps, np.where(reps == neg[reps], 1.0, 2.0)
+
+
+def _u_power_batch(
+    batch: np.ndarray, k: int, shift: np.ndarray, reps: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """‖g‖_{U^k}^{2^k} for each row g of `batch` via the derivative recursion.
+
+    ‖g‖_{U^k}^{2^k} = E_h ‖Δ_h g‖_{U^{k-1}}^{2^{k-1}} with Δ_h g(x) = g(x+h)·conj(g(x)).
+    Since Δ_{−h}g is a translate of conj(Δ_h g), the mean over h runs over the
+    representatives `reps` with their `weights`.  All of them are derived in
+    one array when it fits _BATCH_BUDGET entries, else one shift at a time.
+    """
     if k == 1:
         m = batch.mean(axis=1)
         return (m * m.conj()).real
     nrows, size = batch.shape
-    if nrows * size * size <= _BATCH_BUDGET:
-        derived = batch[:, shift] * batch.conj()[:, None, :]
-        vals = _u_power_batch(derived.reshape(nrows * size, size), k - 1, shift)
-        return vals.reshape(nrows, size).mean(axis=1)
+    conj = batch.conj()
+    if nrows * len(reps) * size <= _BATCH_BUDGET:
+        derived = batch[:, shift[reps]] * conj[:, None, :]
+        vals = _u_power_batch(derived.reshape(-1, size), k - 1, shift, reps, weights)
+        return (vals.reshape(nrows, len(reps)) * weights).sum(axis=1) / size
     acc = np.zeros(nrows)
-    for h in range(size):
-        acc += _u_power_batch(batch[:, shift[h]] * batch.conj(), k - 1, shift)
+    for h, w in zip(reps, weights):
+        acc += w * _u_power_batch(batch[:, shift[h]] * conj, k - 1, shift, reps, weights)
     return acc / size
 
 
@@ -316,7 +361,8 @@ def gowers_norm(
     if f.size > point_guard:
         raise EnumerationGuardExceeded("group too large for norm enumeration")
     shift = shift_matrix(f.p, f.n)
-    raw = float(_u_power_batch(f.values[None, :], k, shift)[0])
+    reps, weights = _negation_pairs(f.p, f.n)
+    raw = float(_u_power_batch(f.values[None, :], k, shift, reps, weights)[0])
     if raw < 0:
         log.debug("clamping negative U^%d power average %.3e to 0", k, raw)
         raw = 0.0

@@ -129,23 +129,28 @@ def cmd_verify(args) -> int:
 def cmd_reduce(args) -> int:
     system = systems.load_system(args.system)
     cert = complexity.WitnessCertificate.load(args.witness)
+    config = _config(
+        args,
+        system=args.system,
+        witness=args.witness,
+        max_forms=args.max_forms,
+        numeric_check=args.numeric_check,
+        n=args.n,
+        trials=args.trials,
+        seed=args.seed,
+        tolerance=args.tol,
+    )
     try:
         chain = reduction.build_chain(system, cert, max_forms=args.max_forms)
     except reduction.InvalidWitness as exc:
-        _emit({"config": _config(args), "error": str(exc)}, args)
+        _emit({"config": config, "error": str(exc)}, args)
+        return 1
+    except reduction.ConsistencyAlarm as exc:
+        _emit({"config": config, "alarm": str(exc)}, args)
+        print(exc, file=sys.stderr)
         return 1
     report = {
-        "config": _config(
-            args,
-            system=args.system,
-            witness=args.witness,
-            max_forms=args.max_forms,
-            numeric_check=args.numeric_check,
-            n=args.n,
-            trials=args.trials,
-            seed=args.seed,
-            tolerance=args.tol,
-        ),
+        "config": config,
         "steps": len(chain.steps),
         "truncated": chain.truncated,
         "final_forms": chain.final_system.r,
@@ -325,7 +330,9 @@ def cmd_gowers(args) -> int:
         table = analysis.FunctionTable.from_json(json.load(fh))
     value = analysis.gowers_norm(table, args.k, args.point_guard)
     report = {
-        "config": _config(args, function=args.function, k=args.k, point_guard=args.point_guard),
+        "config": _config(
+            args, function=args.function, k=args.k, direct=args.direct, point_guard=args.point_guard
+        ),
         "norm": value,
     }
     if args.direct:

@@ -28,6 +28,10 @@ class InvalidWitness(ValueError):
         super().__init__(f"witness failed verification: {report.failures[:3]}")
 
 
+class ConsistencyAlarm(AssertionError):
+    """A certificate the chain built itself failed verification: a bug, not bad input."""
+
+
 @dataclass(frozen=True)
 class FunctionSlot:
     """Which input function (by relabeled position) a derived slot reads."""
@@ -227,7 +231,7 @@ def build_chain(
             raise InvalidWitness(report)
     except InvalidWitness as exc:
         if steps:
-            raise AssertionError(
+            raise ConsistencyAlarm(
                 f"internal consistency alarm: propagated witness failed: {exc.report.failures[:3]}"
             ) from exc
         raise

@@ -257,6 +257,10 @@ def test_gowers_command(files, capsys, tmp_path):
     assert code == 0
     assert report["norm"] == pytest.approx(5 ** (-0.25), abs=1e-12)
     assert report["difference"] <= 1e-10
+    assert report["config"]["direct"] is True
+    code, report = run(capsys, "gowers", str(fn_path), "--k", "2")
+    assert code == 0 and "direct" not in report
+    assert report["config"]["direct"] is False
 
 
 def test_reports_are_reproducible(files, capsys):
@@ -353,3 +357,40 @@ def test_reduce_report_bytes_are_pinned(files, capsys, tmp_path, name):
     assert code == 0
     body = {key: val for key, val in report.items() if key != "config"}
     assert hashlib.sha256(json.dumps(body, indent=1).encode()).hexdigest() == GOLDEN_REDUCE[name]
+
+
+def test_reduce_error_report_carries_the_full_config(files, capsys, tmp_path):
+    # the length-1 F_7 certificate of test_reduce_rejects_an_unverified_base_certificate
+    bad = {"system_hash": "", "i": 0, "k": 1, "sequence": [0], "covers": [{"targets": [0], "parts": [[1, 2, 3, 4, 5]]}]}
+    cert_path = tmp_path / "bad.json"
+    cert_path.write_text(json.dumps(bad))
+    code, report = run(capsys, "reduce", files["rem1"], "--witness", str(cert_path), "--max-forms", "64")
+    assert code == 1 and "error" in report
+    config = report["config"]
+    assert config["system"] == files["rem1"]
+    assert config["witness"] == str(cert_path)
+    assert config["max_forms"] == 64
+
+
+def test_reduce_consistency_alarm_exits_1_without_traceback(files, capsys, tmp_path, monkeypatch):
+    from seqcs import reduction
+    from seqcs.complexity import CoverCertificate
+
+    cert_path = write_certificate(capsys, files, tmp_path)
+    relabel = reduction._relabel_cover
+
+    def dropping(cover, new_index):
+        out = relabel(cover, new_index)
+        parts = (out.parts[0][1:],) + out.parts[1:] if out.parts else out.parts
+        return CoverCertificate(out.targets, parts, out.k)
+
+    monkeypatch.setattr(reduction, "_relabel_cover", dropping)
+    code = main(["reduce", files["rem1"], "--witness", cert_path])
+    captured = capsys.readouterr()
+    assert code == 1
+    report = json.loads(captured.out)
+    assert "internal consistency alarm" in report["alarm"]
+    assert "error" not in report and "chain" not in report
+    assert report["config"]["witness"] == cert_path and report["config"]["max_forms"] == 4096
+    assert "internal consistency alarm" in captured.err
+
