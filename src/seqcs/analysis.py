@@ -2,6 +2,10 @@
 
 Group elements of F_p^n are encoded as integers in [0, p^n): digit t of the
 index (base p, digit 0 least significant) is coordinate t of the point.
+encode_point (digits to index) and digit_matrix (index to digits) are the
+only conversions; both take integers or integer arrays.  gowers_norm_direct
+keeps its own digit arithmetic on purpose: it is the independent oracle for
+the U^k recursion, so it must not share the encoding it checks.
 Averages enumerate every assignment; there is no sampling and no Fourier
 shortcut.  Sums use numpy's fixed-order pairwise reduction per chunk and an
 exact compensated sum of the chunk totals, so results are bit-stable.
@@ -86,6 +90,11 @@ class FunctionTable:
 
 
 def encode_point(point, p: int) -> int:
+    """Index of a point, by Horner's rule over its coordinates reduced mod p.
+
+    Each coordinate may be an int or an integer array; with arrays the result
+    is the array of indices, elementwise (broadcast like +).
+    """
     idx = 0
     for t in reversed(range(len(point))):
         idx = idx * p + (point[t] % p)
@@ -110,12 +119,7 @@ def phase_table(p: int, n: int, residues: np.ndarray) -> FunctionTable:
 
 def character_table(p: int, n: int, frequency) -> FunctionTable:
     """x ↦ e_p(<frequency, x>)."""
-    idx = np.arange(p**n)
-    digits = digit_matrix(idx, p, n)
-    acc = np.zeros(p**n, dtype=np.int64)
-    for t in range(n):
-        acc += (frequency[t] % p) * digits[t]
-    return phase_table(p, n, acc)
+    return quadratic_table(p, n, [[0] * n] * n, frequency)
 
 
 def quadratic_table(p: int, n: int, quad, linear=None) -> FunctionTable:
@@ -189,24 +193,16 @@ class LambdaEvaluator:
 
     def _actions(self, start: int, stop: int) -> list[np.ndarray]:
         p, d, n = int(self.system.p), self.system.d, self.n
-        flat = np.arange(start, stop, dtype=np.int64)
-        var_digits = []
-        rem = flat
-        for _ in range(d):
-            var_digits.append(digit_matrix(rem % self.group_size, p, n))
-            rem = rem // self.group_size
+        # digit j·n + t of an assignment index is coordinate t of variable j
+        digits = digit_matrix(np.arange(start, stop, dtype=np.int64), p, d * n)
         actions = []
         for form in self.system.forms:
-            out = np.zeros(stop - start, dtype=np.int64)
-            mult = 1
-            for t in range(n):
-                acc = np.zeros(stop - start, dtype=np.int64)
-                for j in range(d):
-                    if form[j]:
-                        acc += form[j] * var_digits[j][t]
-                out += (acc % p) * mult
-                mult *= p
-            actions.append(out)
+            coords = [np.zeros(stop - start, dtype=np.int64) for _ in range(n)]
+            for j in range(d):
+                if form[j]:
+                    for t in range(n):
+                        coords[t] += form[j] * digits[j * n + t]
+            actions.append(encode_point(coords, p))
         return actions
 
     def value(self, tables, conjugated=None) -> complex:
@@ -287,21 +283,20 @@ _shift_cache: dict = {}
 
 
 def shift_matrix(p: int, n: int) -> np.ndarray:
-    """SHIFT[h, x] = index of x + h; cached per group."""
+    """SHIFT[h, x] = index of x + h; cached per group.
+
+    Built one row at a time, so the only size × size array is the result.
+    """
     key = (p, n)
     out = _shift_cache.get(key)
     if out is None:
         size = p**n
         if size * size > 1 << 24:
             raise EnumerationGuardExceeded(f"shift matrix for group of size {size} too large")
-        idx = np.arange(size, dtype=np.int64)
-        xd = digit_matrix(idx[None, :], p, n)
-        hd = digit_matrix(idx[:, None], p, n)
-        out = np.zeros((size, size), dtype=np.int64)
-        mult = 1
-        for t in range(n):
-            out += ((xd[t] + hd[t]) % p) * mult
-            mult *= p
+        xd = digit_matrix(np.arange(size, dtype=np.int64), p, n)
+        out = np.empty((size, size), dtype=np.int64)
+        for h in range(size):
+            out[h] = encode_point([x + c for x, c in zip(xd, digit_matrix(h, p, n))], p)
         _cache_put(_shift_cache, key, out, lambda a: a.nbytes)
     return out
 
@@ -309,11 +304,7 @@ def shift_matrix(p: int, n: int) -> np.ndarray:
 def _negation_pairs(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """One representative h <= −h of each pair {h, −h} in F_p^n, weighted by the pair's size."""
     idx = np.arange(p**n, dtype=np.int64)
-    neg = np.zeros_like(idx)
-    mult = 1
-    for digits in digit_matrix(idx, p, n):
-        neg += (-digits % p) * mult
-        mult *= p
+    neg = encode_point([-x for x in digit_matrix(idx, p, n)], p)
     reps = idx[idx <= neg]
     return reps, np.where(reps == neg[reps], 1.0, 2.0)
 
@@ -325,21 +316,21 @@ def _u_power_batch(
 
     ‖g‖_{U^k}^{2^k} = E_h ‖Δ_h g‖_{U^{k-1}}^{2^{k-1}} with Δ_h g(x) = g(x+h)·conj(g(x)).
     Since Δ_{−h}g is a translate of conj(Δ_h g), the mean over h runs over the
-    representatives `reps` with their `weights`.  All of them are derived in
-    one array when it fits _BATCH_BUDGET entries, else one shift at a time.
+    representatives `reps` with their `weights`, in blocks of shifts: all of
+    them when they fit _BATCH_BUDGET entries, else one shift per block.
     """
     if k == 1:
         m = batch.mean(axis=1)
         return (m * m.conj()).real
     nrows, size = batch.shape
     conj = batch.conj()
-    if nrows * len(reps) * size <= _BATCH_BUDGET:
-        derived = batch[:, shift[reps]] * conj[:, None, :]
-        vals = _u_power_batch(derived.reshape(-1, size), k - 1, shift, reps, weights)
-        return (vals.reshape(nrows, len(reps)) * weights).sum(axis=1) / size
+    block = len(reps) if nrows * len(reps) * size <= _BATCH_BUDGET else 1
     acc = np.zeros(nrows)
-    for h, w in zip(reps, weights):
-        acc += w * _u_power_batch(batch[:, shift[h]] * conj, k - 1, shift, reps, weights)
+    for b in range(0, len(reps), block):
+        hs = reps[b : b + block]
+        derived = batch[:, shift[hs]] * conj[:, None, :]
+        vals = _u_power_batch(derived.reshape(-1, size), k - 1, shift, reps, weights)
+        acc += (vals.reshape(nrows, len(hs)) * weights[b : b + block]).sum(axis=1)
     return acc / size
 
 

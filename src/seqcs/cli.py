@@ -118,9 +118,12 @@ def cmd_verify(args) -> int:
     system = systems.load_system(args.system)
     cert = complexity.WitnessCertificate.load(args.certificate)
     result = complexity.verify_witness(system, cert)
+    verdict = result.to_json()
+    if not cert.system_hash:
+        verdict["unbound"] = True  # no hash: nothing tied the certificate to this system
     report = {
         "config": _config(args, certificate=args.certificate, system=args.system),
-        "verdict": result.to_json(),
+        "verdict": verdict,
     }
     _emit(report, args)
     return 0 if result.passed else 1

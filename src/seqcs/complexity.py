@@ -201,8 +201,6 @@ def sequential_witness(
             j for j in range(r) if j != i and j not in prefix
         )
         for j in candidates:
-            if j in prefix:
-                continue
             prefix.append(j)
             if prefix_parts(tuple(prefix)) is not None:
                 found = dfs(prefix, ell)

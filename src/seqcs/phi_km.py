@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
-from .analysis import FunctionTable, encode_point, phase_table, tensor_product_table
+from .analysis import FunctionTable, digit_matrix, encode_point, phase_table, tensor_product_table
 from .complexity import CoverCertificate, WitnessCertificate
 from .covering import AffineSubspace
 from .field import Prime
@@ -165,13 +165,15 @@ def _validate_weight(p: int, k: int, M: int, w) -> tuple[int, ...]:
 def binomial_product_table(p: int, M: int, exponents) -> np.ndarray:
     """Residue table x ↦ Π_i C(x_i, e_i) mod p on F_p^M (binomials over Z)."""
     cols = [np.array([comb(v, e) % p for v in range(p)], dtype=np.int64) for e in exponents]
-    idx = np.arange(p**M)
     out = np.ones(p**M, dtype=np.int64)
-    rem = idx
-    for i in range(M):
-        out = out * cols[i][rem % p] % p
-        rem = rem // p
+    for col, digits in zip(cols, digit_matrix(np.arange(p**M), p, M)):
+        out = out * col[digits] % p
     return out
+
+
+def _signed_binomial(w, z) -> int:
+    """(-1)^{|z|}·C(w_1,z_1)···C(w_M,z_M) over Z."""
+    return (-1) ** sum(z) * prod(comb(wi, zi) for wi, zi in zip(w, z))
 
 
 def phase_polynomial_table(p: int, k: int, M: int, w) -> np.ndarray:
@@ -192,10 +194,7 @@ def counterexample_family(p: int, k: int, M: int, w=None, ell: int = 1) -> list[
     poly = phase_polynomial_table(p, k, M, w)
     tables = []
     for z in s_km_points(p, k, M):
-        coef = (-1) ** sum(z)
-        for wi, zi in zip(w, z):
-            coef *= comb(wi, zi)
-        base = phase_table(p, M, (coef % p) * poly % p)
+        base = phase_table(p, M, (_signed_binomial(w, z) % p) * poly % p)
         tables.append(base if ell == 1 else tensor_product_table(base, ell))
     return tables
 
@@ -215,12 +214,7 @@ def gray_code_check(
     w = _validate_weight(p, k, M, w if w is not None else default_weight(p, k, M))
     poly = polynomial if polynomial is not None else phase_polynomial_table(p, k, M, w)
     rng = np.random.default_rng(seed)
-    signed_coef = {}
-    for z in product(*(range(wi + 1) for wi in w)):
-        coef = (-1) ** sum(z)
-        for wi, zi in zip(w, z):
-            coef *= comb(wi, zi)
-        signed_coef[z] = coef % p
+    signed_coef = {z: _signed_binomial(w, z) % p for z in product(*(range(wi + 1) for wi in w))}
     worst = 0
     for _ in range(trials):
         x = rng.integers(0, p, M)
@@ -230,6 +224,6 @@ def gray_code_check(
             pt = x.copy()
             for i in range(M):
                 pt = pt + z[i] * steps[i]
-            sigma += coef * int(poly[encode_point(tuple(int(c) % p for c in pt), p)])
+            sigma += coef * int(poly[encode_point(pt, p)])
         worst = max(worst, sigma % p)
     return worst

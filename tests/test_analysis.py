@@ -7,7 +7,9 @@ import pytest
 from seqcs.analysis import (
     EnumerationGuardExceeded,
     FunctionTable,
+    LambdaEvaluator,
     character_table,
+    digit_matrix,
     encode_point,
     gowers_norm,
     gowers_norm_direct,
@@ -69,6 +71,45 @@ def test_lambda_matches_oracle_random():
         )
         tables = [random_one_bounded(p, 1, [50, _, j], "disk") for j in range(r)]
         assert lambda_average(sys_, tables) == pytest.approx(lambda_oracle(sys_, tables), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lambda_matches_oracle_on_larger_groups(n, monkeypatch):
+    import seqcs.analysis as mod
+
+    rng = random.Random(60 + n)
+    for trial in range(8):
+        p = rng.choice([2, 3] if n == 3 else [2, 3, 5])
+        d = rng.randint(1, 3 if p**n < 10 else 2)
+        r = rng.randint(1, 4)
+        sys_ = LinearSystem(
+            validate({"p": p, "forms": [[1] * d]}).p,
+            tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in range(r)),
+        )
+        tables = [random_one_bounded(p, n, [61, trial, j], "disk") for j in range(r)]
+        expected = lambda_oracle(sys_, tables)
+        evaluator = LambdaEvaluator(sys_, n)
+        assert evaluator.value(tables) == pytest.approx(expected, abs=1e-12)
+        # the uncached path recomputes the form actions chunk by chunk
+        evaluator._cached_actions = None
+        with monkeypatch.context() as mp:
+            mp.setattr(mod, "_CHUNK", 7)
+            assert evaluator.value(tables) == pytest.approx(expected, abs=1e-12)
+
+
+def test_encode_point_and_digit_matrix_round_trip():
+    for p, n in [(2, 1), (2, 4), (3, 3), (5, 2), (7, 3)]:
+        idx = np.arange(p**n)
+        digits = digit_matrix(idx, p, n)
+        expected = [[i // p**t % p for i in range(p**n)] for t in range(n)]
+        assert [list(col) for col in digits] == expected
+        assert np.array_equal(encode_point(digits, p), idx)
+        for i in range(p**n):
+            point = tuple(int(c) for c in digit_matrix(i, p, n))
+            assert point == tuple(col[i] for col in expected)
+            assert encode_point(point, p) == i
+            # digits are reduced mod p on the way in
+            assert encode_point(tuple(c - p for c in point), p) == i
 
 
 def test_lambda_conjugation_flags():
@@ -206,7 +247,7 @@ def test_norm_recursion_chunked_path_matches(monkeypatch):
 
     f = random_one_bounded(5, 1, [91], "disk")
     full = gowers_norm(f, 3)
-    monkeypatch.setattr(mod, "_BATCH_BUDGET", 16)  # force the per-shift loop
+    monkeypatch.setattr(mod, "_BATCH_BUDGET", 16)  # force blocks of one shift
     assert gowers_norm(f, 3) == pytest.approx(full, abs=1e-13)
 
 

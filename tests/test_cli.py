@@ -101,6 +101,21 @@ def test_verify_round_trip_and_mutation(files, capsys, tmp_path):
     assert report["verdict"]["passed"] is False
 
 
+def test_verify_reports_an_unbound_certificate(files, capsys, tmp_path):
+    code, report = run(capsys, "witness", files["rem1"], "--k", "1", "--at", "5", "--max-len", "2")
+    cert = report["results"][0]["certificate"]
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    code, report = run(capsys, "verify", str(cert_path), files["rem1"])
+    assert code == 0 and "unbound" not in report["verdict"]
+
+    cert["system_hash"] = ""
+    cert_path.write_text(json.dumps(cert))
+    code, report = run(capsys, "verify", str(cert_path), files["rem1"])
+    assert code == 0
+    assert report["verdict"] == {"passed": True, "failures": [], "unbound": True}
+
+
 def test_phikm_witness_verify_and_bridge(files, capsys, tmp_path):
     sys_path = tmp_path / "phi342.json"
     cert_path = tmp_path / "cert342.json"

@@ -20,7 +20,7 @@ from seqcs.systems import LinearSystem
 from test_field import affine_oracle, span_oracle
 
 PRIMES = st.sampled_from([3, 5])
-EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+EXAMPLES = settings(max_examples=40)
 
 
 def maximal_closures(n: int, size_cap: int, spans, avoids_excluded) -> list[frozenset[int]]:

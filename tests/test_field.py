@@ -194,7 +194,7 @@ def test_completing_transform_random_invertible():
         assert rank(t, p) == d
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.sampled_from([3, 5, 7]).flatmap(lambda p: st.integers(1, 6).flatmap(lambda d: st.tuples(
     st.just(p),
     st.tuples(*[st.integers(0, p - 1)] * d),

@@ -22,7 +22,7 @@ CASES = [
     if p**n <= 49 and (p**n) ** k <= 20_000
 ]
 FAMILIES = ("phases", "disk", "signs", "sparse")
-EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+EXAMPLES = settings(max_examples=40)
 
 
 @settings(EXAMPLES, max_examples=25)
@@ -53,9 +53,20 @@ def test_negation_pairs_pick_one_representative_per_pair(p, n):
     for h, w in zip(reps, weights):
         assert negate(h, p, n) == h or negate(h, p, n) not in reps
         assert w == (1 if negate(h, p, n) == h else 2)
+    assert reps == [h for h in range(size) if h <= negate(h, p, n)]
     assert weights.sum() == size
     if p == 2:
         assert (weights == 1).all()
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1)])
+def test_shift_matrix_matches_tuple_arithmetic(p, n):
+    points = [tuple(reversed(z)) for z in product(range(p), repeat=n)]  # points[i] encodes to i
+    index = {z: i for i, z in enumerate(points)}
+    shift = analysis.shift_matrix(p, n)
+    for h, hz in enumerate(points):
+        for x, xz in enumerate(points):
+            assert shift[h, x] == index[tuple((a + b) % p for a, b in zip(xz, hz))]
 
 
 def bytes_held(cache, nbytes) -> int:

@@ -1,3 +1,6 @@
+from itertools import product
+from math import comb, prod
+
 import pytest
 
 from seqcs.analysis import gowers_norm, gowers_norm_direct, lambda_average, tensor_product_table
@@ -176,6 +179,17 @@ def test_gray_code_detects_degree_bump():
     # cube dimension and the alternating sum no longer vanishes
     mutated = binomial_product_table(3, 2, (2, 1))
     assert gray_code_check(3, 4, 2, (2, 1), trials=300, seed=0, polynomial=mutated) != 0
+
+
+def test_binomial_product_table_matches_pointwise_binomials():
+    for p, exponents in [(2, (1,)), (3, (2, 1)), (5, (3, 0, 2)), (7, (4, 1))]:
+        M = len(exponents)
+        table = binomial_product_table(p, M, exponents)
+        expected = [0] * p**M
+        for x in product(range(p), repeat=M):
+            idx = sum(c * p**t for t, c in enumerate(x))
+            expected[idx] = prod(comb(c, e) for c, e in zip(x, exponents)) % p
+        assert list(table) == expected
 
 
 def test_phase_polynomial_degrees():
