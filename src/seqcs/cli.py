@@ -18,6 +18,7 @@ from .covering import SearchGuardExceeded
 
 TOL_INEQUALITY = 1e-9
 DEFAULT_POINT_GUARD = analysis.DEFAULT_POINT_GUARD
+DEFAULT_NODE_GUARD = 10**8
 DEFAULT_MAX_FORMS = 1 << 12
 
 
@@ -58,10 +59,12 @@ def _emit(report: dict, args) -> None:
         print(text)
 
 
-def _config(args, **extra) -> dict:
-    cfg = {"command": args.command}
-    cfg.update(extra)
-    return cfg
+def _config(args) -> dict:
+    """Every flag and positional of the run by its dest name, in parser order.
+
+    Only where the report goes (`--output`, `--out`) is left out.
+    """
+    return {key: val for key, val in vars(args).items() if key not in ("output", "out", "func")}
 
 
 def _checked_at(at: int, system) -> int:
@@ -75,7 +78,7 @@ def cmd_analyze(args) -> int:
     flags = systems.system_flags(system)
     normalized = systems.normalize_translation_invariant(system)
     report = {
-        "config": _config(args, system=args.system, k_max=args.k_max),
+        "config": _config(args),
         "p": int(system.p),
         "r": system.r,
         "d": system.d,
@@ -104,9 +107,7 @@ def cmd_witness(args) -> int:
         else:
             results.append({"i": i, "found": True, "length": cert.length, "certificate": cert.to_json()})
     report = {
-        "config": _config(
-            args, system=args.system, at=args.at, k=args.k, max_len=args.max_len
-        ),
+        "config": _config(args),
         "results": results,
         "all_found": missing == 0,
     }
@@ -122,7 +123,7 @@ def cmd_verify(args) -> int:
     if not cert.system_hash:
         verdict["unbound"] = True  # no hash: nothing tied the certificate to this system
     report = {
-        "config": _config(args, certificate=args.certificate, system=args.system),
+        "config": _config(args),
         "verdict": verdict,
     }
     _emit(report, args)
@@ -132,28 +133,20 @@ def cmd_verify(args) -> int:
 def cmd_reduce(args) -> int:
     system = systems.load_system(args.system)
     cert = complexity.WitnessCertificate.load(args.witness)
-    config = _config(
-        args,
-        system=args.system,
-        witness=args.witness,
-        max_forms=args.max_forms,
-        numeric_check=args.numeric_check,
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        tolerance=args.tol,
-    )
+    head = {"config": _config(args)}
+    if not cert.system_hash:
+        head["unbound"] = True  # no hash: nothing tied the witness to this system
     try:
         chain = reduction.build_chain(system, cert, max_forms=args.max_forms)
     except reduction.InvalidWitness as exc:
-        _emit({"config": config, "error": str(exc)}, args)
+        _emit({**head, "error": str(exc)}, args)
         return 1
     except reduction.ConsistencyAlarm as exc:
-        _emit({"config": config, "alarm": str(exc)}, args)
+        _emit({**head, "alarm": str(exc)}, args)
         print(exc, file=sys.stderr)
         return 1
     report = {
-        "config": config,
+        **head,
         "steps": len(chain.steps),
         "truncated": chain.truncated,
         "final_forms": chain.final_system.r,
@@ -181,7 +174,7 @@ def cmd_reduce(args) -> int:
     _emit(report, args)
     if chain.truncated:
         return 1
-    if violation is not None and violation > args.tol:
+    if violation is not None and violation > args.tolerance:
         return 1
     return 0
 
@@ -195,11 +188,8 @@ def cmd_gvn(args) -> int:
         except ValueError:
             print("no form equals (1, 0, ..., 0); cannot use --at-origin", file=sys.stderr)
             return 2
-    elif args.at is not None:
-        i = _checked_at(args.at, system)
     else:
-        print("one of --at / --at-origin is required", file=sys.stderr)
-        return 2
+        i = _checked_at(args.at, system)
     tables = None
     if args.family == "counterexample":
         if args.phi_k is None or args.phi_m is None:
@@ -217,23 +207,11 @@ def cmd_gvn(args) -> int:
         trials=args.trials,
         seed=args.seed,
         tables=tables,
-        tol=args.tol,
+        tol=args.tolerance,
         point_guard=args.point_guard,
     )
     report = {
-        "config": _config(
-            args,
-            system=args.system,
-            i=i,
-            k=args.k,
-            ell=args.ell,
-            n=args.n,
-            family=args.family,
-            trials=args.trials,
-            seed=args.seed,
-            tolerance=args.tol,
-            point_guard=args.point_guard,
-        ),
+        "config": _config(args),
         "report": report_obj.to_json(),
     }
     _emit(report, args)
@@ -241,10 +219,10 @@ def cmd_gvn(args) -> int:
 
 
 def cmd_phikm(args) -> int:
-    system = phi_km.phi_system(args.p, args.k, args.m)
-    points = phi_km.s_km_points(args.p, args.k, args.m)
+    system = phi_km.phi_system(args.p, args.k, args.M)
+    points = phi_km.s_km_points(args.p, args.k, args.M)
     report = {
-        "config": _config(args, p=args.p, k=args.k, M=args.m, witness=args.witness, verify=args.verify),
+        "config": _config(args),
         "p": args.p,
         "forms": system.r,
         "points": [list(z) for z in points],
@@ -257,8 +235,8 @@ def cmd_phikm(args) -> int:
         report["system_written"] = args.system_out
     if args.witness:
         at = tuple(int(x) for x in args.at.split(",")) if args.at else None
-        sequence, covers = phi_km.phi_witness(args.p, args.k, args.m)
-        cert = phi_km.phi_witness_certificate(args.p, args.k, args.m, at)
+        sequence, covers = phi_km.phi_witness(args.p, args.k, args.M)
+        cert = phi_km.phi_witness_certificate(args.p, args.k, args.M, at)
         report["witness"] = {
             "length": cert.length,
             "sequence_points": [list(z) for z in sequence[: cert.length]],
@@ -283,12 +261,12 @@ def cmd_phikm(args) -> int:
 
 def cmd_cover(args) -> int:
     if args.phikm_origin:
-        if args.p is None or args.k is None or args.m is None:
+        if args.p is None or args.k is None or args.M is None:
             print("--phikm-origin needs --p, --k, --M", file=sys.stderr)
             return 2
-        p, m = args.p, args.m
+        p, m = args.p, args.M
         origin = (0,) * m
-        points = [z for z in phi_km.s_km_points(args.p, args.k, args.m) if z != origin]
+        points = [z for z in phi_km.s_km_points(args.p, args.k, args.M) if z != origin]
         excluded = [origin]
     elif args.points:
         with open(args.points, "r", encoding="utf-8") as fh:
@@ -296,27 +274,14 @@ def cmd_cover(args) -> int:
     else:
         print("give a point-set file or --phikm-origin", file=sys.stderr)
         return 2
-    mode = "hyperplanes-only" if args.hyperplanes_only else "affine-spans"
     try:
         result = covering.min_cover_excluding(
-            p, m, points, excluded, mode=mode, max_count=args.max_count, node_guard=args.node_guard
+            p, m, points, excluded, mode=args.mode, max_count=args.max_count, node_guard=args.node_guard
         )
     except SearchGuardExceeded as exc:
         print(f"search guard exceeded: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "config": _config(
-            args,
-            points=args.points,
-            phikm_origin=args.phikm_origin,
-            p=args.p,
-            k=args.k,
-            M=args.m,
-            mode=mode,
-            max_count=args.max_count,
-            node_guard=args.node_guard,
-        ),
-    }
+    report = {"config": _config(args)}
     if result is None:
         report["feasible"] = False
         _emit(report, args)
@@ -333,9 +298,7 @@ def cmd_gowers(args) -> int:
         table = analysis.FunctionTable.from_json(json.load(fh))
     value = analysis.gowers_norm(table, args.k, args.point_guard)
     report = {
-        "config": _config(
-            args, function=args.function, k=args.k, direct=args.direct, point_guard=args.point_guard
-        ),
+        "config": _config(args),
         "norm": value,
     }
     if args.direct:
@@ -348,8 +311,6 @@ def cmd_gowers(args) -> int:
 def _add_common(sub):
     sub.add_argument("--output", choices=("json", "table"), default="json")
     sub.add_argument("--out", help="write the report to this path instead of stdout")
-    sub.add_argument("--node-guard", type=int, default=10**8)
-    sub.add_argument("--point-guard", type=int, default=DEFAULT_POINT_GUARD)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("analyze", help="validate a system and report its complexity data")
     sp.add_argument("system")
     sp.add_argument("--k-max", type=int, default=6)
+    sp.add_argument("--node-guard", type=int, default=DEFAULT_NODE_GUARD)
     _add_common(sp)
     sp.set_defaults(func=cmd_analyze)
 
@@ -367,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--at", type=int, default=None, help="target form index (default: all)")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--max-len", type=int, default=4)
+    sp.add_argument("--node-guard", type=int, default=DEFAULT_NODE_GUARD)
     _add_common(sp)
     sp.set_defaults(func=cmd_witness)
 
@@ -384,14 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=TOL_INEQUALITY)
+    sp.add_argument("--tol", dest="tolerance", type=float, default=TOL_INEQUALITY)
+    sp.add_argument("--point-guard", type=int, default=DEFAULT_POINT_GUARD)
     _add_common(sp)
     sp.set_defaults(func=cmd_reduce)
 
     sp = subs.add_parser("gvn", help="check the norm inequality on random or fixed tuples")
     sp.add_argument("--system", required=True)
-    sp.add_argument("--at", type=int, default=None)
-    sp.add_argument("--at-origin", action="store_true")
+    where = sp.add_mutually_exclusive_group(required=True)
+    where.add_argument("--at", type=int, default=None)
+    where.add_argument("--at-origin", action="store_true")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--n", type=int, default=1)
@@ -415,14 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi-M", dest="phi_m", type=int, default=None)
     sp.add_argument("--w", default=None, help="comma-separated weight for the counterexample family")
     sp.add_argument("--ell-family", type=int, default=1, help="tensor level of the counterexample family")
-    sp.add_argument("--tol", type=float, default=TOL_INEQUALITY)
+    sp.add_argument("--tol", dest="tolerance", type=float, default=TOL_INEQUALITY)
+    sp.add_argument("--point-guard", type=int, default=DEFAULT_POINT_GUARD)
     _add_common(sp)
     sp.set_defaults(func=cmd_gvn)
 
     sp = subs.add_parser("phikm", help="emit progression systems, witnesses and covers")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--M", dest="m", type=int, required=True)
+    sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--witness", action="store_true")
     sp.add_argument("--verify", action="store_true")
     sp.add_argument("--at", default=None, help="comma-separated point to end the witness at")
@@ -436,9 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phikm-origin", action="store_true")
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--M", dest="m", type=int, default=None)
-    sp.add_argument("--hyperplanes-only", action="store_true")
+    sp.add_argument("--M", type=int, default=None)
+    sp.add_argument(
+        "--hyperplanes-only", dest="mode", action="store_const", const="hyperplanes-only", default="affine-spans"
+    )
     sp.add_argument("--max-count", type=int, default=None)
+    sp.add_argument("--node-guard", type=int, default=DEFAULT_NODE_GUARD)
     _add_common(sp)
     sp.set_defaults(func=cmd_cover)
 
@@ -446,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("function")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--direct", action="store_true", help="also run the direct-definition oracle")
+    sp.add_argument("--point-guard", type=int, default=DEFAULT_POINT_GUARD)
     _add_common(sp)
     sp.set_defaults(func=cmd_gowers)
 

@@ -42,10 +42,6 @@ def vec(entries: Iterable[int], p: int) -> Vector:
     return tuple(e % p for e in entries)
 
 
-def mat(rows: Iterable[Iterable[int]], p: int) -> Matrix:
-    return tuple(vec(r, p) for r in rows)
-
-
 def identity(d: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 

@@ -197,7 +197,6 @@ def image_is_translation_invariant(system: LinearSystem) -> bool:
     image = set()
     for x in product(range(p), repeat=system.d):
         image.add(tuple(sum(f[j] * x[j] for j in range(system.d)) % p for f in system.forms))
-    ones = tuple(1 for _ in range(system.r))
     return all(tuple((y[i] + 1) % p for i in range(len(y))) in image for y in image)
 
 

@@ -1,10 +1,13 @@
+import argparse
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from seqcs import covering
-from seqcs.cli import main
+from seqcs.analysis import quadratic_table
+from seqcs.cli import build_parser, main
 from seqcs.covering import AffineCover, AffineSubspace
 from seqcs.phi_km import phi_system
 
@@ -263,8 +266,6 @@ def test_gvn_at_origin_counterexample(files, capsys, tmp_path):
 
 
 def test_gowers_command(files, capsys, tmp_path):
-    from seqcs.analysis import quadratic_table
-
     table = quadratic_table(5, 1, [[1]])
     fn_path = tmp_path / "f.json"
     fn_path.write_text(json.dumps(table.to_json()))
@@ -278,13 +279,49 @@ def test_gowers_command(files, capsys, tmp_path):
     assert report["config"]["direct"] is False
 
 
-def test_reports_are_reproducible(files, capsys):
-    code1, rep1 = run(capsys, "gvn", "--system", files["phi31"], "--at", "0", "--k", "1",
-                      "--ell", "1", "--trials", "10", "--seed", "9")
-    code2, rep2 = run(capsys, "gvn", "--system", files["phi31"], "--at", "0", "--k", "1",
-                      "--ell", "1", "--trials", "10", "--seed", "9")
-    assert code1 == code2 == 0
-    assert rep1 == rep2
+def replay_argv(config):
+    """Rebuild a command line from a report's config by walking its subcommand's parser."""
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in subs.choices[config["command"]]._actions if a.dest not in ("help", "output", "out")]
+    assert set(config) == {"command"} | {a.dest for a in actions}
+    argv = [config["command"]]
+    for action in actions:
+        value = config[action.dest]
+        if not action.option_strings:
+            argv += [] if value is None else [str(value)]
+        elif action.nargs == 0:
+            argv += [action.option_strings[0]] if value == action.const else []
+        elif value is not None:
+            argv += [action.option_strings[0], str(value)]
+    return argv
+
+
+def test_reports_are_reproducible(files, capsys, tmp_path):
+    cert_path = write_certificate(capsys, files, tmp_path)
+    phi342 = tmp_path / "phi342.json"
+    phi342.write_text(json.dumps(phi_system(3, 4, 2).to_json()))
+    fn_path = tmp_path / "f.json"
+    fn_path.write_text(json.dumps(quadratic_table(5, 1, [[1]]).to_json()))
+    cases = [
+        ["analyze", files["rem1"], "--k-max", "3", "--node-guard", "100000"],
+        ["witness", files["rem1"], "--k", "1", "--at", "5", "--max-len", "2", "--node-guard", "100000"],
+        ["verify", cert_path, files["rem1"]],
+        ["reduce", files["rem1"], "--witness", cert_path, "--max-forms", "64", "--numeric-check",
+         "--trials", "3", "--seed", "4", "--tol", "1e-8", "--point-guard", "1000000"],
+        ["gvn", "--system", files["phi31"], "--at", "0", "--k", "1", "--ell", "1", "--trials", "10", "--seed", "9"],
+        ["gvn", "--system", str(phi342), "--at-origin", "--k", "2", "--ell", "8", "--n", "4",
+         "--family", "counterexample", "--phi-k", "4", "--phi-M", "2", "--ell-family", "2"],
+        ["phikm", "--p", "3", "--k", "4", "--M", "2", "--witness", "--verify", "--at", "2,1",
+         "--system-out", str(tmp_path / "sys.json"), "--cert-out", str(tmp_path / "cert-out.json")],
+        ["cover", "--phikm-origin", "--p", "3", "--k", "4", "--M", "2", "--max-count", "5", "--node-guard", "100000"],
+        ["cover", "--phikm-origin", "--p", "3", "--k", "4", "--M", "2", "--hyperplanes-only"],
+        ["gowers", str(fn_path), "--k", "2", "--direct", "--point-guard", "1000"],
+    ]
+    for argv in cases:
+        code = main(argv)
+        out = capsys.readouterr().out
+        replayed = replay_argv(json.loads(out)["config"])
+        assert (main(replayed), capsys.readouterr().out) == (code, out), argv
 
 
 def test_out_flag_writes_file(files, capsys, tmp_path):
@@ -329,6 +366,13 @@ def test_witness_at_out_of_range_exits_2(files, capsys, at):
     assert code == 2
     assert captured.out == ""
     assert "valid form indices are 0..5" in captured.err
+
+
+@pytest.mark.parametrize("where", [["--at", "0", "--at-origin"], []])
+def test_gvn_needs_exactly_one_of_at_and_at_origin(files, where):
+    with pytest.raises(SystemExit) as exc:
+        main(["gvn", "--system", files["phi31"], *where, "--k", "1", "--ell", "1"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("at", ["9", "-1"])
@@ -409,3 +453,21 @@ def test_reduce_consistency_alarm_exits_1_without_traceback(files, capsys, tmp_p
     assert report["config"]["witness"] == cert_path and report["config"]["max_forms"] == 4096
     assert "internal consistency alarm" in captured.err
 
+
+def test_reduce_marks_an_unbound_witness(files, capsys, tmp_path):
+    cert_path = write_certificate(capsys, files, tmp_path)
+    code, report = run(capsys, "reduce", files["rem1"], "--witness", cert_path)
+    assert code == 0 and "unbound" not in report
+    cert = json.loads(Path(cert_path).read_text())
+    cert["system_hash"] = ""
+    Path(cert_path).write_text(json.dumps(cert))
+    code, report = run(capsys, "reduce", files["rem1"], "--witness", cert_path)
+    assert code == 0 and report["steps"] == 1
+    assert report["unbound"] is True
+
+    # the bad length-1 certificate of test_reduce_rejects_an_unverified_base_certificate
+    bad = {"system_hash": "", "i": 0, "k": 1, "sequence": [0], "covers": [{"targets": [0], "parts": [[1, 2, 3, 4, 5]]}]}
+    Path(cert_path).write_text(json.dumps(bad))
+    code, report = run(capsys, "reduce", files["rem1"], "--witness", cert_path)
+    assert code == 1 and "error" in report
+    assert report["unbound"] is True
