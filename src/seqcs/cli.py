@@ -260,13 +260,20 @@ def cmd_phikm(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    given = {"--phikm-origin": args.phikm_origin or None, "--p": args.p, "--k": args.k, "--M": args.M}
+    clash = [flag for flag, val in given.items() if val is not None]
+    if args.points and clash:
+        raise systems.InputValidationError(
+            [f"a point-set file gives p and M itself; {', '.join(clash)} pose the --phikm-origin problem instead"]
+        )
     if args.phikm_origin:
         if args.p is None or args.k is None or args.M is None:
             print("--phikm-origin needs --p, --k, --M", file=sys.stderr)
             return 2
-        p, m = args.p, args.M
+        desc = phi_km.PhiDescriptor.make(args.p, args.k, args.M)
+        p, m = desc.p, desc.M
         origin = (0,) * m
-        points = [z for z in phi_km.s_km_points(args.p, args.k, args.M) if z != origin]
+        points = [z for z in phi_km.s_km_points(p, desc.k, m) if z != origin]
         excluded = [origin]
     elif args.points:
         with open(args.points, "r", encoding="utf-8") as fh:

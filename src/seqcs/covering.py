@@ -5,9 +5,13 @@ miss the excluded points, or the affine spans of subsets of the target set.
 The spans come from `closure_pool`, the one closure-lattice walk of the
 package: it enumerates every distinct span without walking all subsets, and
 serves both linear spans (the parts of `seqcs.complexity`) and affine spans,
-which are linear spans of the points lifted to (1, s).  Minimum covers are
-found by branch and bound and are exact; a node guard aborts instead of
-returning an unproven answer.
+which are linear spans of the points lifted to (1, s).  The walk reduces
+each vector and each excluded vector once per node and groups the vectors by
+`residual_key`: one group is one child span, and an excluded vector with the
+group's key makes it inadmissible.  Zero vectors lie in every span, so the
+walk seeds them into every closure.  Minimum covers are found by branch and
+bound and are exact; a node guard aborts instead of returning an unproven
+answer.
 """
 
 from __future__ import annotations
@@ -190,6 +194,20 @@ def exact_set_cover(
     return chosen
 
 
+def residual_key(basis: SpanBasis, v) -> Vector:
+    """v reduced against `basis`, scaled so its first nonzero entry is 1 (zero stays zero).
+
+    For u, v outside span(basis): u lies in span(basis ∪ {v}) exactly when
+    both have the same key, since their residuals are then nonzero multiples.
+    """
+    res = basis.reduce(v)
+    lead = next((x for x in res if x), 0)
+    if lead in (0, 1):
+        return res
+    inv = pow(lead, -1, basis.p)
+    return tuple(x * inv % basis.p for x in res)
+
+
 def closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
     """Maximal admissible closures of `vectors`, as index sets sorted by content.
 
@@ -197,28 +215,46 @@ def closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
     span is admissible when it contains no excluded vector.  Closure-lattice
     walk: every span of a subset shows up as the closure of some chain of
     single-vector extensions, so the pool is complete while only distinct
-    closures are visited.  Returns None when an excluded vector is zero, hence
-    inside every span.  Raises SearchGuardExceeded past `node_guard` visits.
+    closures are visited.
+
+    A node is a closure cl with the basis B of its span.  Its children are the
+    spans of B ∪ {v} for v outside cl, and they are found with one reduction
+    per vector: v's child holds exactly the vectors with v's `residual_key`
+    modulo B, and it is inadmissible exactly when an excluded vector has that
+    key too.  So a node costs one reduction per vector and per excluded
+    vector.  Children are taken in order of their first vector, and a child's
+    basis is built only when its closure is new.  Zero vectors lie in every
+    span, so every closure holds them; the seeds are the children of the
+    empty basis, with the zero-only closure placed at its first zero index.
+
+    Returns None when an excluded vector is zero, hence inside every span.
+    Raises SearchGuardExceeded past `node_guard` visits.
     """
     if any(not any(v) for v in excluded):
         return None
 
-    def admissible(basis: SpanBasis) -> bool:
-        return not any(basis.contains(v) for v in excluded)
-
-    def closure_of(basis: SpanBasis) -> frozenset[int]:
-        return frozenset(j for j, v in enumerate(vectors) if basis.contains(v))
+    def children(basis: SpanBasis, cl: frozenset[int]) -> list[tuple[frozenset[int], int]]:
+        """(closure, first index) of each admissible child, in order of first index."""
+        banned = {residual_key(basis, v) for v in excluded}
+        groups: dict[Vector, list[int]] = {}
+        for j, v in enumerate(vectors):
+            if j not in cl:
+                groups.setdefault(residual_key(basis, v), []).append(j)
+        return [(cl.union(js), js[0]) for key, js in groups.items() if key not in banned]
 
     seen: dict[frozenset[int], SpanBasis] = {}
     queue: list[frozenset[int]] = []
-    for v in vectors:
-        basis = SpanBasis(p, dim).extended(v)
-        if not admissible(basis):
-            continue
-        cl = closure_of(basis)
-        if cl not in seen:
-            seen[cl] = basis
-            queue.append(cl)
+
+    def push(basis: SpanBasis, kids: list[tuple[frozenset[int], int]]) -> None:
+        for ncl, j in kids:
+            if ncl not in seen:
+                seen[ncl] = basis.extended(vectors[j])
+                queue.append(ncl)
+
+    root = SpanBasis(p, dim)
+    zeros = frozenset(j for j, v in enumerate(vectors) if not any(v))
+    seeds = children(root, zeros) + ([(zeros, min(zeros))] if zeros else [])
+    push(root, sorted(seeds, key=lambda kid: kid[1]))
     maximal: list[frozenset[int]] = []
     visited = 0
     while queue:
@@ -229,19 +265,9 @@ def closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
                 f"closure-lattice walk passed {node_guard} nodes ({len(seen)} closures found)"
             )
         basis = seen[cl]
-        extendable = False
-        for j, v in enumerate(vectors):
-            if j in cl:
-                continue
-            grown = basis.extended(v)
-            if not admissible(grown):
-                continue
-            extendable = True
-            ncl = closure_of(grown)
-            if ncl not in seen:
-                seen[ncl] = grown
-                queue.append(ncl)
-        if not extendable:
+        kids = children(basis, cl)
+        push(basis, kids)
+        if not kids:
             maximal.append(cl)
     return sorted(maximal, key=sorted)
 

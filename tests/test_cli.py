@@ -184,6 +184,31 @@ def test_cover_point_file_with_wrong_dimension_exits_2(capsys, tmp_path):
     assert "points[1] has 3 coordinates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--phikm-origin", "--p", "3", "--k", "2", "--M", "2"],
+    ["--phikm-origin"],
+    ["--p", "7", "--k", "2", "--M", "2"],
+    ["--p", "3"],
+    ["--k", "2"],
+    ["--M", "2"],
+])
+def test_cover_point_file_refuses_phikm_flags(capsys, tmp_path, flags):
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({"p": 3, "M": 2, "points": [[1, 0], [0, 1], [1, 1]], "excluded": [[0, 0]]}))
+    assert main(["cover", str(path)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "--phikm-origin" in captured.err
+
+
+@pytest.mark.parametrize("k, M", [(0, 2), (2, 0), (2, -1), (-3, 2)])
+def test_cover_phikm_origin_validates_k_and_M(capsys, k, M):
+    assert main(["cover", "--phikm-origin", "--p", "3", "--k", str(k), "--M", str(M)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need M >= 1 and k >= 1" in captured.err
+
+
 def test_cover_unverified_exits_1(capsys, monkeypatch):
     def bad_cover(p, M, points, excluded, **kwargs):
         sub = AffineSubspace.make(p, (0, 0), [(1, 0), (0, 1)])  # the whole plane

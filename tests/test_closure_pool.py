@@ -4,6 +4,8 @@ Brute force only needs subsets of at most dim vectors: every linear span of a
 nonempty set is the span of at most dim of its members, and every affine span
 of a nonempty point set in F_p^M is the affine span of at most M+1 of them.
 Membership is decided by the exhaustive coefficient oracles of test_field.
+The walk's visit order is checked against `reference_closure_pool`, the walk
+as it was before children were grouped by residual key.
 """
 
 from itertools import combinations, product
@@ -12,8 +14,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from seqcs.complexity import _admissible_pool
-from seqcs.covering import AffineSubspace, SearchGuardExceeded, _span_candidates
-from seqcs.field import mat_inverse, mat_mul, rank
+from seqcs.covering import AffineSubspace, SearchGuardExceeded, _span_candidates, closure_pool, residual_key
+from seqcs.field import SpanBasis, mat_inverse, mat_mul, rank, span_basis
 from seqcs.phi_km import phi_system, s_km_points
 from seqcs.systems import LinearSystem
 
@@ -96,19 +98,132 @@ def test_affine_pool_matches_brute_force(instance):
 
 
 S343_POINTS = [z for z in s_km_points(3, 4, 3) if any(z)]
+PHI342_FORMS = phi_system(3, 4, 2).forms
+PHI342_WITH_ZERO = LinearSystem(3, PHI342_FORMS[:4] + ((0, 0, 0),) + PHI342_FORMS[4:])
 
 
-# Nodes each walk visits, counted before the two walks were merged into one:
-# `--node-guard` must still trip at the same node.
+# Nodes each walk visits, counted before the two walks were merged into one
+# (the zero-form case before children were grouped by residual key):
+# `--node-guard` must still trip at the same node.  A walk whose seeds leave
+# the zero form out of their closures visits 23 nodes in the last case.
 @pytest.mark.parametrize("walk, nodes", [
     (lambda guard: _admissible_pool(phi_system(5, 6, 2), (0,), guard), 42),
     (lambda guard: _admissible_pool(phi_system(3, 4, 2), (0, 3), guard), 11),
     (lambda guard: _span_candidates(S343_POINTS, [(0, 0, 0)], 3, 3, guard), 116),
+    (lambda guard: _admissible_pool(PHI342_WITH_ZERO, (0, 3), guard), 12),
 ])
 def test_node_guard_trips_at_the_same_node(walk, nodes):
     walk(nodes)
     with pytest.raises(SearchGuardExceeded, match=f"passed {nodes - 1} nodes"):
         walk(nodes - 1)
+
+
+def reference_closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
+    """The walk before children were grouped by residual key, kept verbatim as an oracle.
+
+    Each node extends its basis by every vector outside its closure and
+    rebuilds the admissibility test and the closure of each extension.
+    """
+    if any(not any(v) for v in excluded):
+        return None
+
+    def admissible(basis: SpanBasis) -> bool:
+        return not any(basis.contains(v) for v in excluded)
+
+    def closure_of(basis: SpanBasis) -> frozenset[int]:
+        return frozenset(j for j, v in enumerate(vectors) if basis.contains(v))
+
+    seen: dict[frozenset[int], SpanBasis] = {}
+    queue: list[frozenset[int]] = []
+    for v in vectors:
+        basis = SpanBasis(p, dim).extended(v)
+        if not admissible(basis):
+            continue
+        cl = closure_of(basis)
+        if cl not in seen:
+            seen[cl] = basis
+            queue.append(cl)
+    maximal: list[frozenset[int]] = []
+    visited = 0
+    while queue:
+        cl = queue.pop()
+        visited += 1
+        if visited > node_guard:
+            raise SearchGuardExceeded(
+                f"closure-lattice walk passed {node_guard} nodes ({len(seen)} closures found)"
+            )
+        basis = seen[cl]
+        extendable = False
+        for j, v in enumerate(vectors):
+            if j in cl:
+                continue
+            grown = basis.extended(v)
+            if not admissible(grown):
+                continue
+            extendable = True
+            ncl = closure_of(grown)
+            if ncl not in seen:
+                seen[ncl] = grown
+                queue.append(ncl)
+        if not extendable:
+            maximal.append(cl)
+    return sorted(maximal, key=sorted)
+
+
+def walk_outcome(walk, args, guard):
+    """The walk's pool, or its guard message when `guard` trips."""
+    try:
+        return walk(*args, node_guard=guard)
+    except SearchGuardExceeded as exc:
+        return str(exc)
+
+
+@st.composite
+def walk_instances(draw):
+    """Vectors and excluded vectors with many dependencies: zero vectors,
+    duplicates and combinations of a small palette."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(0, p - 1)] * d)
+    palette = draw(st.lists(vector, min_size=1, max_size=3))
+
+    def combine(terms):
+        return tuple(sum(c * v[t] for v, c in terms) % p for t in range(d))
+
+    combo = st.lists(st.tuples(st.sampled_from(palette), st.integers(0, p - 1)), min_size=1, max_size=2).map(combine)
+    body = draw(st.lists(st.one_of(combo, vector), min_size=1, max_size=7))
+    zeros = [(0,) * d] * draw(st.integers(0, 1))
+    copies = draw(st.lists(st.sampled_from(body), max_size=8 - len(body)))
+    vectors = body + zeros + copies
+    order = draw(st.permutations(range(len(vectors))))
+    excluded = draw(st.lists(st.one_of(combo, vector), max_size=2))
+    return [vectors[i] for i in order], excluded, p, d
+
+
+@settings(max_examples=150)
+@given(walk_instances())
+def test_walk_matches_reference_visit_for_visit(instance):
+    """Same outcome at every node guard: the same pool, the same smallest
+    guard that does not trip, and the same message (closures found so far,
+    which depends on the visit order) at every guard below it."""
+    guard = 0
+    while isinstance(outcome := walk_outcome(closure_pool, instance, guard), str):
+        assert walk_outcome(reference_closure_pool, instance, guard) == outcome
+        guard += 1
+    assert walk_outcome(reference_closure_pool, instance, guard) == outcome
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([3, 5, 7]).flatmap(lambda p: st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(p),
+    st.lists(st.tuples(*[st.integers(0, p - 1)] * d), max_size=2),
+    st.tuples(*[st.integers(0, p - 1)] * d),
+    st.tuples(*[st.integers(0, p - 1)] * d)))))
+def test_residual_keys_agree_exactly_when_one_vector_spans_the_other(instance):
+    p, gens, u, v = instance
+    basis = span_basis(gens, p, len(u))
+    same_nonzero_key = residual_key(basis, u) == residual_key(basis, v) and any(residual_key(basis, v))
+    assert same_nonzero_key == (span_oracle(u, gens + [v], p) and not span_oracle(u, gens, p))
 
 
 @EXAMPLES
