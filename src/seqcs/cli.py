@@ -260,11 +260,9 @@ def cmd_phikm(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    given = {"--phikm-origin": args.phikm_origin or None, "--p": args.p, "--k": args.k, "--M": args.M}
-    clash = [flag for flag, val in given.items() if val is not None]
-    if args.points and clash:
+    if args.points and (args.phikm_origin or (args.p, args.k, args.M) != (None, None, None)):
         raise systems.InputValidationError(
-            [f"a point-set file gives p and M itself; {', '.join(clash)} pose the --phikm-origin problem instead"]
+            ["a point-set file gives p and M itself; it takes none of --phikm-origin, --p, --k, --M"]
         )
     if args.phikm_origin:
         if args.p is None or args.k is None or args.M is None:
