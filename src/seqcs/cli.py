@@ -5,12 +5,20 @@ and size guards) in the report, so any emitted report can be reproduced
 bit-for-bit by re-running the embedded config.  Exit codes: 0 success/pass,
 1 negative-but-valid result (infeasible, none found, verification fail,
 inequality violation), 2 input error.
+
+JSON reports are written by `_json_text`, which gives the same bytes as
+`json.dumps(report, indent=1)` but joins each flat list of plain ints (the
+forms and index lists that make up most of a reduction chain) in one
+`str.join`.  Plain ints and finite floats are written by their `repr`, as
+`json` writes them; every other scalar (strings, bools, None, NaN and
+±Infinity, subclasses) is encoded by `json.dumps` itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import analysis, complexity, covering, phi_km, reduction, systems
@@ -22,9 +30,33 @@ DEFAULT_NODE_GUARD = 10**8
 DEFAULT_MAX_FORMS = 1 << 12
 
 
+def _json_text(obj, level: int = 0) -> str:
+    """`json.dumps(obj, indent=1)`, byte for byte, at nesting depth `level`."""
+    pad = "\n" + " " * level
+    inner = pad + " "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:  # plain ints only: bools and int subclasses go item by item
+            items = map(int.__repr__, obj)
+        else:
+            items = (_json_text(x, level + 1) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if set(map(type, obj)) != {str}:  # json's own key coercion; its output has no raw newlines
+            return json.dumps(obj, indent=1).replace("\n", pad)
+        items = (json.dumps(k) + ": " + _json_text(v, level + 1) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
+        return obj.__repr__()  # as json writes them, without its per-call set-up
+    return json.dumps(obj)
+
+
 def _emit(report: dict, args) -> None:
     if args.output == "json":
-        text = json.dumps(report, indent=1)
+        text = _json_text(report)
     else:
         lines: list[str] = []
 

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from .covering import SearchGuardExceeded, closure_pool, exact_set_cover
-from .field import rank, span_basis, tensor_power
+from .field import SpanBasis, rank, span_basis, tensor_power, vec
 from .systems import InputValidationError, LinearSystem, is_integer
 
 
@@ -230,8 +230,13 @@ class WitnessReport:
 
 
 def verify_witness(system: LinearSystem, cert: WitnessCertificate) -> WitnessReport:
-    """Re-check every certificate invariant by span membership tests."""
+    """Re-check every certificate invariant by span membership tests.
+
+    A part's basis is built once per call and shared by every cover that
+    repeats the part (as the same set of indices); nothing outlives the call.
+    """
     failures: list[dict] = []
+    bases: dict[frozenset[int], SpanBasis] = {}
     r = system.r
     if cert.system_hash and cert.system_hash != system.digest():
         failures.append({"kind": "system-hash-mismatch"})
@@ -249,6 +254,7 @@ def verify_witness(system: LinearSystem, cert: WitnessCertificate) -> WitnessRep
     if len(cert.covers) != len(seq):
         failures.append({"kind": "cover-count-mismatch", "covers": len(cert.covers)})
         return WitnessReport(False, failures)
+    reduced = {j: vec(system.forms[j], system.p) for j in seq}  # reduced once, not per part
     for j in range(1, len(seq) + 1):
         cover = cert.covers[j - 1]
         prefix = seq[:j]
@@ -266,9 +272,12 @@ def verify_witness(system: LinearSystem, cert: WitnessCertificate) -> WitnessRep
             if any(x < 0 or x >= r for x in part):
                 failures.append({"kind": "part-index-out-of-range", "prefix": j, "part": t})
                 continue
-            basis = span_basis([system.forms[x] for x in part], system.p, system.d)
+            key = frozenset(part)
+            basis = bases.get(key)
+            if basis is None:
+                basis = bases[key] = span_basis([system.forms[x] for x in key], system.p, system.d)
             for target in prefix:
-                if basis.contains(system.forms[target]):
+                if not any(basis.reduce(reduced[target])):
                     failures.append(
                         {"kind": "span-contains-target", "prefix": j, "part": t, "target": target}
                     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .field import Prime, SpanBasis, Vector, completing_transform, is_prime, span_basis, vec, vec_sub
+from .field import Prime, SpanBasis, Vector, is_prime, span_basis, vec, vec_sub
 from .systems import InputValidationError, is_integer
 
 
@@ -46,7 +46,7 @@ class AffineSubspace:
     @staticmethod
     def make(p: int, basepoint, directions) -> "AffineSubspace":
         basis = span_basis(directions, p, len(basepoint))
-        return AffineSubspace(p, basis.dim, basis.reduce(basepoint), basis.rows, basis)
+        return AffineSubspace(p, basis.dim, basis.reduce(vec(basepoint, p)), basis.rows, basis)
 
     @staticmethod
     def from_points(points, p: int) -> "AffineSubspace":
@@ -57,9 +57,24 @@ class AffineSubspace:
 
     @staticmethod
     def from_hyperplane(normal, const: int, p: int) -> "AffineSubspace":
-        """Solution set of normal·x = const as a subspace object."""
-        cols = list(zip(*completing_transform(normal, p)))
-        return AffineSubspace.make(p, [const * x for x in cols[0]], cols[1:])
+        """Solution set of normal·x = const as a subspace object.
+
+        Needs no elimination: with L the last column where the normal n is
+        nonzero, the rows e_t - (n_t / n_L)·e_L for t != L are the RREF basis
+        of its kernel, and (const / n_L)·e_L is zero at every pivot.
+        """
+        n = vec(normal, p)
+        last = max((j for j, x in enumerate(n) if x), default=None)
+        if last is None:
+            raise ValueError("zero form cannot be normalized")
+        inv = pow(n[last], -1, p)
+        dim = len(n)
+        pivots = tuple(t for t in range(dim) if t != last)
+        rows = tuple(
+            tuple(1 if j == t else (-n[t] * inv % p if j == last else 0) for j in range(dim)) for t in pivots
+        )
+        base = tuple(const * inv % p if j == last else 0 for j in range(dim))
+        return AffineSubspace(p, dim, base, rows, SpanBasis(p, dim, rows, pivots))
 
     @property
     def dim(self) -> int:
@@ -67,7 +82,7 @@ class AffineSubspace:
 
     def contains(self, point) -> bool:
         # the basepoint is reduced, so point - basepoint is a direction iff they reduce alike
-        return self.basis.reduce(point) == self.basepoint
+        return self.basis.reduce(vec(point, self.p)) == self.basepoint
 
     def to_json(self) -> dict:
         return {"basepoint": list(self.basepoint), "directions": [list(d) for d in self.directions]}
@@ -227,9 +242,12 @@ def closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
     span, so every closure holds them; the seeds are the children of the
     empty basis, with the zero-only closure placed at its first zero index.
 
-    Returns None when an excluded vector is zero, hence inside every span.
-    Raises SearchGuardExceeded past `node_guard` visits.
+    Entries may be any integers: they are reduced mod p once, here.  Returns
+    None when an excluded vector is zero, hence inside every span.  Raises
+    SearchGuardExceeded past `node_guard` visits.
     """
+    vectors = [vec(v, p) for v in vectors]
+    excluded = [vec(v, p) for v in excluded]
     if any(not any(v) for v in excluded):
         return None
 

@@ -2,12 +2,23 @@
 
 Vectors are tuples of canonical residues in [0, p-1] and matrices are tuples
 of row tuples.  Every public function reduces its integer inputs mod p, so
-callers may pass arbitrary integers.  All operations are pure.
+callers may pass arbitrary integers; the incremental `SpanBasis.reduce` and
+`SpanBasis.extended` are the exception and take canonical residues, so the
+closure walk pays no reduction per call.  All operations are pure.
+
+Bulk elimination (`rref`, `span_basis`, and through them `rank`,
+`mat_inverse` and `solve_right`) runs on one numpy kernel, `_rref_array`:
+each pivot is one vectorised row operation over the rows that need it.  It
+is exact for every prime: below 2^31 it works in int64, where every product
+of two residues stays below 2^62; from 2^31 on the same code runs on Python
+integers (dtype object).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -60,31 +71,55 @@ def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
     return tuple(vec_mat(row, b, p) for row in a)
 
 
+_INT64_EXACT_BELOW = 1 << 31  # residues below 2^31: products stay below 2^62
+
+
+def _rref_array(rows: list, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p of a nonempty list of equal-length rows.
+
+    Returns it as a 2-D array (int64, or Python ints from 2^31 on) with its
+    pivot columns.  Each pivot row is scaled to a unit pivot, and one row
+    operation clears the pivot column in the rows that have an entry there.
+    """
+    if p >= _INT64_EXACT_BELOW:
+        m = np.array(rows, dtype=object) % p
+    else:
+        try:
+            m = np.array(rows, dtype=np.int64) % p
+        except OverflowError:
+            m = (np.array(rows, dtype=object) % p).astype(np.int64)
+    nrows, ncols = m.shape
+    pivots: list[int] = []
+    rnk = 0
+    for col in range(ncols):
+        if rnk == nrows:
+            break
+        below = np.flatnonzero(m[rnk:, col])
+        if not below.size:
+            continue
+        piv = rnk + int(below[0])
+        row = m[piv, col:] * pow(int(m[piv, col]), -1, p) % p
+        if piv != rnk:
+            m[piv] = m[rnk]
+        hit = np.flatnonzero(m[:, col])
+        m[hit, col:] = (m[hit, col:] - m[hit, col, None] * row) % p
+        m[rnk, col:] = row
+        pivots.append(col)
+        rnk += 1
+    return m, pivots
+
+
 def rref(rows: Iterable[Iterable[int]], p: int) -> tuple[Matrix, int, list[int]]:
     """Reduced row echelon form over F_p.
 
     Returns (reduced matrix, rank, pivot column indices).  The row space is
     preserved and the result is the unique RREF of the input.
     """
-    m = [list(vec(r, p)) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    rnk = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rnk, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rnk], m[piv] = m[piv], m[rnk]
-        inv = pow(m[rnk][col], -1, p)
-        m[rnk] = [(x * inv) % p for x in m[rnk]]
-        for i in range(nrows):
-            if i != rnk and m[i][col]:
-                f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rnk])]
-        pivots.append(col)
-        rnk += 1
-    return tuple(tuple(r) for r in m), rnk, pivots
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        return (), 0, []
+    m, pivots = _rref_array(rows, p)
+    return tuple(map(tuple, m.tolist())), len(pivots), pivots
 
 
 def rank(rows: Iterable[Iterable[int]], p: int) -> int:
@@ -96,6 +131,8 @@ class SpanBasis:
 
     Immutable; `extended` returns a new basis.  Rows are kept in echelon
     form with unit pivots, so membership is a single elimination pass.
+    `reduce` and `extended` take vectors of canonical residues in [0, p-1];
+    `contains` accepts any integers.
     """
 
     __slots__ = ("p", "dim", "rows", "pivots")
@@ -111,9 +148,9 @@ class SpanBasis:
         return len(self.rows)
 
     def reduce(self, v: Sequence[int]) -> Vector:
-        """Residual of v after eliminating against the basis rows."""
+        """Residual of v, a vector of canonical residues, after eliminating against the basis rows."""
         p = self.p
-        w = list(vec(v, p))
+        w = list(v)
         for row, piv in zip(self.rows, self.pivots):
             c = w[piv]
             if c:
@@ -122,10 +159,10 @@ class SpanBasis:
         return tuple(w)
 
     def contains(self, v: Sequence[int]) -> bool:
-        return not any(self.reduce(v))
+        return not any(self.reduce(vec(v, self.p)))
 
     def extended(self, v: Sequence[int]) -> "SpanBasis":
-        """Basis of span(self ∪ {v}); returns self when v is already inside."""
+        """Basis of span(self ∪ {v}) for v of canonical residues; returns self when v is already inside."""
         res = self.reduce(v)
         piv = next((j for j, x in enumerate(res) if x), None)
         if piv is None:
@@ -146,10 +183,12 @@ class SpanBasis:
 
 
 def span_basis(vectors: Iterable[Sequence[int]], p: int, dim: int) -> SpanBasis:
-    b = SpanBasis(p, dim)
-    for v in vectors:
-        b = b.extended(v)
-    return b
+    """Basis of span(vectors): the nonzero rows of their RREF and its pivots."""
+    rows = [tuple(v) for v in vectors]
+    if not rows:
+        return SpanBasis(p, dim)
+    m, pivots = _rref_array(rows, p)
+    return SpanBasis(p, dim, tuple(map(tuple, m[: len(pivots)].tolist())), tuple(pivots))
 
 
 def in_span(v: Sequence[int], vectors: Sequence[Sequence[int]], p: int) -> bool:

@@ -4,10 +4,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqcs import covering
 from seqcs.analysis import quadratic_table
-from seqcs.cli import build_parser, main
+from seqcs.cli import _json_text, build_parser, main
 from seqcs.covering import AffineCover, AffineSubspace
 from seqcs.phi_km import phi_system
 
@@ -441,6 +442,51 @@ def test_reduce_report_bytes_are_pinned(files, capsys, tmp_path, name):
     assert code == 0
     body = {key: val for key, val in report.items() if key != "config"}
     assert hashlib.sha256(json.dumps(body, indent=1).encode()).hexdigest() == GOLDEN_REDUCE[name]
+
+
+# SHA-256 of the raw stdout of `reduce` on phi(3,4,2) cut at (2,1), run from the
+# input directory so the config holds relative paths.  Generated while reports
+# were still written by `json.dumps(report, indent=1)`, so it pins the writer
+# byte for byte, which the parsed-body digests above cannot see.
+GOLDEN_REDUCE_STDOUT = "165a249864baa4720e9ded749189be933a09e594c3c70c69937a5146d72c6333"
+
+
+def test_reduce_stdout_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["phikm", "--p", "3", "--k", "4", "--M", "2", "--witness", "--at", "2,1"]
+    main(argv + ["--system-out", "phi342.json", "--cert-out", "cert342.json", "--out", "phikm.json"])
+    capsys.readouterr()
+    assert main(["reduce", "phi342.json", "--witness", "cert342.json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_REDUCE_STDOUT
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**63 - 2, 2**80) | st.integers(-(2**80), -(2**63) + 2),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e300, 5e-324]),
+    st.text(max_size=6),
+    st.sampled_from(["é", "日本", "\n\t\"\\/", "\u2028", "\x00\x1f", "\ud800", "\U0001f600"]),
+)
+INT_LISTS = st.lists(st.integers() | st.integers(2**63, 2**80) | st.booleans(), max_size=6)
+JSON_KEYS = st.text(max_size=4) | st.sampled_from(["é", "\"", "a\nb"])
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | INT_LISTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_KEYS, inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3) | st.booleans() | st.none() | st.floats(), inner, max_size=3),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400)
+@given(JSON_VALUES)
+def test_report_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=1)
+    assert _json_text({"nested": [obj, [], {}]}) == json.dumps({"nested": [obj, [], {}]}, indent=1)
 
 
 def test_reduce_error_report_carries_the_full_config(files, capsys, tmp_path):

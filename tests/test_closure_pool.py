@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from seqcs.complexity import _admissible_pool
 from seqcs.covering import AffineSubspace, SearchGuardExceeded, _span_candidates, closure_pool, residual_key
-from seqcs.field import SpanBasis, mat_inverse, mat_mul, rank, span_basis
+from seqcs.field import SpanBasis, completing_transform, mat_inverse, mat_mul, rank, span_basis
 from seqcs.phi_km import phi_system, s_km_points
 from seqcs.systems import LinearSystem
 
@@ -234,6 +234,10 @@ def test_from_hyperplane_is_the_solution_set(instance):
     assume(any(normal))
     sub = AffineSubspace.from_hyperplane(normal, const, p)
     assert sub.dim == len(normal) - 1
+    # the closed form is the subspace that elimination builds from the completing transform
+    cols = list(zip(*completing_transform(normal, p)))
+    built = AffineSubspace.make(p, [const * x for x in cols[0]], cols[1:])
+    assert sub == built and (sub.basis.rows, sub.basis.pivots) == (built.basis.rows, built.basis.pivots)
     for x in product(range(p), repeat=len(normal)):
         assert sub.contains(x) == (sum(n * c for n, c in zip(normal, x)) % p == const)
 

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from seqcs.complexity import (
     CoverCertificate,
@@ -20,7 +23,9 @@ from seqcs.systems import (
     random_invertible,
     validate,
 )
-from seqcs.phi_km import phi_system, s_km_points
+from seqcs.phi_km import phi_system, phi_witness_certificate, s_km_points
+
+from test_field import reference_rref
 
 REMARK_F7 = validate({"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 3], [1, 2, 3], [1, 3, 3]]})
 REMARK_F23 = validate({"p": 23, "forms": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 10, 1], [1, 1, 2], [1, 2, 2]]})
@@ -248,3 +253,106 @@ def test_geometric_consistency_on_golden_systems():
                     max_count=max_parts,
                 )
                 assert form_side == (geo is not None), (sys_.forms, prefix, max_parts)
+
+
+def certificate_is_valid(system, cert) -> bool:
+    """Every invariant `verify_witness` checks, decided without it.
+
+    Span membership is one rank comparison by the reference elimination of
+    test_field per part and target, with no basis shared between parts.
+    """
+    r, seq, p = system.r, cert.sequence, system.p
+    if cert.system_hash and cert.system_hash != system.digest():
+        return False
+    if not seq or not all(0 <= j < r for j in seq) or len(set(seq)) != len(seq):
+        return False
+    if seq[-1] != cert.i or len(cert.covers) != len(seq):
+        return False
+    for j, cover in enumerate(cert.covers, start=1):
+        prefix = seq[:j]
+        if tuple(cover.targets) != prefix or len(cover.parts) > cert.k + 1:
+            return False
+        if not set(range(r)) - set(prefix) <= {x for part in cover.parts for x in part}:
+            return False
+        for part in cover.parts:
+            if not all(0 <= x < r for x in part):
+                return False
+            rows = [system.forms[x] for x in part]
+            rank_of_part = reference_rref(rows, p)[1]
+            if any(reference_rref(rows + [system.forms[t]], p)[1] == rank_of_part for t in prefix):
+                return False
+    return True
+
+
+def single_entry_mutations(cert, r):
+    """(kind, certificate) for every change of one entry of one cover.
+
+    A part index is changed to every other form, set out of range, dropped or
+    duplicated; a target is changed to every other form.
+    """
+    def with_cover(c, cover):
+        covers = cert.covers[:c] + (cover,) + cert.covers[c + 1:]
+        return WitnessCertificate(cert.system_hash, cert.i, cert.k, cert.sequence, covers)
+
+    def with_part(c, t, part):
+        cover = cert.covers[c]
+        return with_cover(c, CoverCertificate(cover.targets, cover.parts[:t] + (part,) + cover.parts[t + 1:], cover.k))
+
+    for c, cover in enumerate(cert.covers):
+        for t, part in enumerate(cover.parts):
+            for e, x in enumerate(part):
+                for y in range(-1, r + 1):
+                    if y != x:
+                        kind = "changed" if 0 <= y < r else "out-of-range"
+                        yield kind, with_part(c, t, part[:e] + (y,) + part[e + 1:])
+                yield "dropped", with_part(c, t, part[:e] + part[e + 1:])
+                yield "duplicated", with_part(c, t, part + (x,))
+        for e, x in enumerate(cover.targets):
+            for y in range(r):
+                if y != x:
+                    targets = cover.targets[:e] + (y,) + cover.targets[e + 1:]
+                    yield "target-changed", with_cover(c, CoverCertificate(targets, cover.parts, cover.k))
+
+
+CERTIFIED = {
+    "phi332": (phi_system(3, 3, 2), phi_witness_certificate(3, 3, 2, None)),
+    "phi532": (phi_system(5, 3, 2), phi_witness_certificate(5, 3, 2, None)),
+    "phi342": (phi_system(3, 4, 2), phi_witness_certificate(3, 4, 2, None)),
+    "remark-f7-at-5": (REMARK_F7, sequential_witness(REMARK_F7, 5, 1, 2)),
+}
+
+
+def judge_mutations(system, cert, mutations) -> Counter:
+    """Assert `verify_witness` agrees with the oracle on each mutation; count the verdicts by kind."""
+    verdicts = Counter()
+    for kind, mutated in mutations:
+        valid = certificate_is_valid(system, mutated)
+        assert verify_witness(system, mutated).passed == valid, (kind, mutated)
+        if kind in ("out-of-range", "target-changed"):
+            assert not valid
+        if kind == "duplicated":
+            assert valid  # the part is the same set of forms
+        verdicts[kind, valid] += 1
+    return verdicts
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_verify_witness_judges_every_single_entry_mutation(name):
+    """Every mutation is rejected but a duplicated index, which leaves each part
+    the same set of forms; no form of these covers lies in two parts, so every
+    dropped or changed index uncovers a form or puts a target in a span."""
+    system, cert = CERTIFIED[name]
+    assert verify_witness(system, cert).passed and certificate_is_valid(system, cert)
+    verdicts = judge_mutations(system, cert, single_entry_mutations(cert, system.r))
+    assert {kind for kind, valid in verdicts if valid} == {"duplicated"}
+    assert {kind for kind, valid in verdicts if not valid} == {"changed", "out-of-range", "dropped", "target-changed"}
+
+
+@settings(max_examples=30)
+@given(st.randoms(use_true_random=False))
+def test_verify_witness_agrees_with_the_oracle_on_mutated_random_certificates(rng):
+    system = random_system(rng)
+    cert = sequential_witness(system, rng.randrange(system.r), rng.randint(0, 2), 3)
+    assume(cert is not None)
+    mutations = list(single_entry_mutations(cert, system.r))
+    judge_mutations(system, cert, rng.sample(mutations, min(40, len(mutations))))

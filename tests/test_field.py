@@ -4,7 +4,9 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from seqcs.covering import AffineSubspace
 from seqcs.field import (
+    SpanBasis,
     apply_completing,
     completing_transform,
     in_affine_span,
@@ -13,10 +15,15 @@ from seqcs.field import (
     mat_inverse,
     rank,
     rref,
+    span_basis,
     tensor_power,
+    vec,
     vec_mat,
     Prime,
 )
+
+PRIME_BELOW_2_31 = 2**31 - 1
+PRIME_ABOVE_2_31 = 2**31 + 11
 
 
 def span_oracle(v, vectors, p):
@@ -43,6 +50,101 @@ def affine_oracle(a, points, p):
         ):
             return True
     return False
+
+
+def reference_rref(rows, p):
+    """The pure-Python RREF that the numpy kernel replaced, kept verbatim as an oracle."""
+    m = [list(vec(r, p)) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots: list[int] = []
+    rnk = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rnk, nrows) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rnk], m[piv] = m[piv], m[rnk]
+        inv = pow(m[rnk][col], -1, p)
+        m[rnk] = [(x * inv) % p for x in m[rnk]]
+        for i in range(nrows):
+            if i != rnk and m[i][col]:
+                f = m[i][col]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rnk])]
+        pivots.append(col)
+        rnk += 1
+    return tuple(tuple(r) for r in m), rnk, pivots
+
+
+def reference_span_basis(vectors, p, dim):
+    """`span_basis` as the loop of `SpanBasis.extended` it was, kept as an oracle.
+
+    `extended` takes canonical residues, so each vector is reduced first (the
+    old `extended` did that itself).
+    """
+    b = SpanBasis(p, dim)
+    for v in vectors:
+        b = b.extended(vec(v, p))
+    return b
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(p, ncols, rows) with zero rows, duplicate rows and non-canonical entries mixed in."""
+    p = draw(st.sampled_from([2, 3, 5, 7, PRIME_BELOW_2_31, PRIME_ABOVE_2_31]))
+    ncols = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(0, p - 1), st.integers(-3, 3), st.integers(-3 * p, 3 * p))
+    base = draw(st.lists(st.tuples(*[entry] * ncols), max_size=5))
+    extra = draw(st.lists(st.sampled_from(base + [(0,) * ncols]), max_size=3))
+    return p, ncols, draw(st.permutations(base + extra))
+
+
+@settings(max_examples=300)
+@given(elimination_inputs())
+def test_kernel_matches_the_reference_elimination(instance):
+    p, ncols, rows = instance
+    red, rnk, pivots = rref(rows, p)
+    assert (red, rnk, pivots) == reference_rref(rows, p)
+    basis, ref = span_basis(rows, p, ncols), reference_span_basis(rows, p, ncols)
+    assert (basis.p, basis.dim, basis.rows, basis.pivots) == (ref.p, ref.dim, ref.rows, ref.pivots)
+    # plain Python ints, never numpy scalars, so reports built from them serialize as before
+    assert all(type(x) is int for row in red + basis.rows for x in row)
+    assert all(type(x) is int for x in pivots + list(basis.pivots))
+
+
+def test_kernel_edge_cases_match_the_reference():
+    cases = [
+        ([], 5),
+        ([()], 5),
+        ([(0, 0, 0), (0, 0, 0)], 3),
+        ([(4,), (2,), (0,)], 7),
+        ([(1, 2), (1, 2), (2, 4)], 5),
+        ([(PRIME_ABOVE_2_31 - 1, 2**70), (-1, 5)], PRIME_ABOVE_2_31),
+        ([(PRIME_BELOW_2_31 - 1, PRIME_BELOW_2_31 - 2), (2**64, -(2**64))], PRIME_BELOW_2_31),
+    ]
+    for rows, p in cases:
+        assert rref(rows, p) == reference_rref(rows, p)
+        dim = len(rows[0]) if rows else 3
+        basis, ref = span_basis(rows, p, dim), reference_span_basis(rows, p, dim)
+        assert (basis.rows, basis.pivots, basis.dim) == (ref.rows, ref.pivots, ref.dim)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([3, 5, 7]).flatmap(lambda p: st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.just(p),
+    st.lists(st.tuples(*[st.integers(0, p - 1)] * d), min_size=1, max_size=3),
+    st.tuples(*[st.integers(0, p - 1)] * d),
+    st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=4, max_size=4)))))
+def test_membership_answers_do_not_depend_on_representatives(instance):
+    """Adding multiples of p to any coordinate changes no membership answer."""
+    p, vectors, v, multiples = instance
+    lift = lambda u, k: tuple(x + p * m for x, m in zip(u, multiples[k % len(multiples)]))
+    far_vectors = [lift(u, k) for k, u in enumerate(vectors)]
+    far_v = lift(v, len(vectors))
+    assert in_span(far_v, far_vectors, p) == in_span(v, vectors, p) == span_oracle(v, vectors, p)
+    assert in_affine_span(far_v, far_vectors, p) == in_affine_span(v, vectors, p)
+    sub = AffineSubspace.from_points(vectors, p)
+    assert AffineSubspace.from_points(far_vectors, p) == sub
+    assert sub.contains(far_v) == sub.contains(v) == in_affine_span(v, vectors, p)
 
 
 def test_prime_check():
