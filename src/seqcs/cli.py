@@ -118,7 +118,7 @@ def cmd_analyze(args) -> int:
         "translation_invariant": normalized is not None,
     }
     if normalized is not None:
-        points = systems.associated_set(system)
+        points = systems.AssociatedSet.from_normalized(normalized[0])
         report["associated_set"] = [list(pt) for pt in points.points]
     comp = complexity.complexity_report(system, args.k_max, args.node_guard)
     report["complexity"] = comp.to_json()

@@ -9,9 +9,10 @@ which are linear spans of the points lifted to (1, s).  The walk reduces
 each vector and each excluded vector once per node and groups the vectors by
 `residual_key`: one group is one child span, and an excluded vector with the
 group's key makes it inadmissible.  Zero vectors lie in every span, so the
-walk seeds them into every closure.  Minimum covers are found by branch and
-bound and are exact; a node guard aborts instead of returning an unproven
-answer.
+walk seeds them into every closure.  Minimum covers are exact: one
+branch-and-bound recursion tries cover sizes upward, and the first size that
+succeeds is extracted with the same recursion.  A node guard, counting nodes
+at every size tried, aborts instead of returning an unproven answer.
 """
 
 from __future__ import annotations
@@ -138,7 +139,11 @@ def exact_set_cover(
 
     Returns candidate indices of a minimum cover (lexicographically least by
     candidate index among all minimum covers), or None when no cover of size
-    <= max_parts exists.  Raises SearchGuardExceeded past the node budget.
+    <= max_parts exists.  Sizes 1, 2, ... are tried in turn by one recursion,
+    which branches on an uncovered element with the fewest holders; the first
+    size that succeeds is the minimum, and the same recursion then picks the
+    least candidate for each slot.  The node budget counts the nodes of every
+    size tried and of the extraction; past it, SearchGuardExceeded is raised.
     """
     universe = frozenset(range(n_elements))
     if not universe:
@@ -149,30 +154,12 @@ def exact_set_cover(
             per_element[e].append(ci)
     if any(not holders for holders in per_element):
         return None
-    budget_cap = len(candidates) if max_parts is None else min(max_parts, len(candidates))
+    n_holders = [len(holders) for holders in per_element]
+    cap = len(candidates) if max_parts is None else min(max_parts, len(candidates))
     nodes = 0
-    best_size: int | None = None
-
-    def search(remaining: frozenset[int], depth: int) -> None:
-        nonlocal nodes, best_size
-        nodes += 1
-        if nodes > node_guard:
-            raise SearchGuardExceeded(f"set-cover search passed {node_guard} nodes")
-        if not remaining:
-            best_size = depth if best_size is None else min(best_size, depth)
-            return
-        bound = budget_cap if best_size is None else min(budget_cap, best_size - 1)
-        if depth >= bound:
-            return
-        e = min(remaining, key=lambda x: len(per_element[x]))
-        for ci in per_element[e]:
-            search(remaining - candidates[ci], depth + 1)
-
-    search(universe, 0)
-    if best_size is None:
-        return None
 
     def completable(remaining: frozenset[int], budget: int, floor_index: int) -> bool:
+        """Whether <= budget candidates of index >= floor_index cover `remaining`."""
         nonlocal nodes
         nodes += 1
         if nodes > node_guard:
@@ -181,13 +168,17 @@ def exact_set_cover(
             return True
         if budget == 0:
             return False
-        e = min(remaining, key=lambda x: len(per_element[x]))
+        e = min(remaining, key=n_holders.__getitem__)
         for ci in per_element[e]:
             if ci < floor_index:
                 continue
             if completable(remaining - candidates[ci], budget - 1, floor_index):
                 return True
         return False
+
+    best_size = next((size for size in range(1, cap + 1) if completable(universe, size, 0)), None)
+    if best_size is None:
+        return None
 
     chosen: list[int] = []
     remaining = universe
@@ -291,14 +282,12 @@ def closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
 
 
 def _span_candidates(points: list[Vector], excluded: list[Vector], p: int, M: int, node_guard: int):
-    """Maximal admissible affine spans of subsets of `points`, as index sets and subspaces.
+    """Maximal admissible affine spans of subsets of `points`, as index sets sorted by content.
 
     Affine spans are linear spans after lifting each point s to (1, s).
     """
     lifted = [(1,) + t for t in points]
-    member_sets = closure_pool(lifted, [(1,) + a for a in excluded], p, M + 1, node_guard)
-    pool = [AffineSubspace.from_points([points[i] for i in sorted(cl)], p) for cl in member_sets]
-    return member_sets, pool
+    return closure_pool(lifted, [(1,) + a for a in excluded], p, M + 1, node_guard)
 
 
 def point_set_from_json(raw) -> tuple[Prime, int, list[Vector], list[Vector]]:
@@ -360,22 +349,24 @@ def min_cover_excluding(
         cover = AffineCover(prime, M, (), (), tuple(exc))
         return 0, cover
     if mode == "hyperplanes-only":
-        pool = enumerate_hyperplanes(prime, M, exc)
-        member_sets = [frozenset(i for i, t in enumerate(pts) if h.contains(t)) for h in pool]
-        keep = [i for i, s in enumerate(member_sets) if s]
-        pool = [pool[i] for i in keep]
-        member_sets = [member_sets[i] for i in keep]
-        order = sorted(range(len(pool)), key=lambda i: sorted(member_sets[i]))
-        pool = [pool[i] for i in order]
-        member_sets = [member_sets[i] for i in order]
+        hyperplanes = enumerate_hyperplanes(prime, M, exc)
+        pairs = ((frozenset(i for i, t in enumerate(pts) if h.contains(t)), h) for h in hyperplanes)
+        planes = sorted((pair for pair in pairs if pair[0]), key=lambda pair: sorted(pair[0]))
+        member_sets = [members for members, _ in planes]
+
+        def subspace(ci: int) -> AffineSubspace:
+            return planes[ci][1]
     elif mode == "affine-spans":
-        member_sets, pool = _span_candidates(pts, exc, prime, M, node_guard)
+        member_sets = _span_candidates(pts, exc, prime, M, node_guard)
+
+        def subspace(ci: int) -> AffineSubspace:
+            return AffineSubspace.from_points([pts[i] for i in sorted(member_sets[ci])], prime)
     else:
         raise ValueError(f"unknown mode: {mode}")
-    picked = exact_set_cover(len(pts), list(member_sets), max_count, node_guard)
+    picked = exact_set_cover(len(pts), member_sets, max_count, node_guard)
     if picked is None:
         return None
-    cover = AffineCover(prime, M, tuple(pool[i] for i in picked), tuple(pts), tuple(exc))
+    cover = AffineCover(prime, M, tuple(subspace(ci) for ci in picked), tuple(pts), tuple(exc))
     return len(picked), cover
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .field import (
@@ -47,6 +47,7 @@ class LinearSystem:
     p: Prime
     forms: tuple[Vector, ...]
     labels: tuple[str, ...] | None = None
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def r(self) -> int:
@@ -65,7 +66,11 @@ class LinearSystem:
         )
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        """SHA-256 of `canonical_json`, computed once per instance (instances are frozen)."""
+        if self._digest is None:
+            digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return self._digest
 
     def to_json(self) -> dict:
         out = {"p": int(self.p), "forms": [list(f) for f in self.forms]}
@@ -85,6 +90,11 @@ class AssociatedSet:
     p: Prime
     M: int
     points: tuple[Vector, ...]
+
+    @staticmethod
+    def from_normalized(norm: LinearSystem) -> "AssociatedSet":
+        """Points of a system whose first column is all ones (see normalize_translation_invariant)."""
+        return AssociatedSet(norm.p, norm.d - 1, tuple(f[1:] for f in norm.forms))
 
 
 def validate(raw: dict) -> LinearSystem:
@@ -183,9 +193,7 @@ def associated_set(system: LinearSystem) -> AssociatedSet:
     normalized = normalize_translation_invariant(system)
     if normalized is None:
         raise ValueError("not translation invariant")
-    norm, _ = normalized
-    points = tuple(f[1:] for f in norm.forms)
-    return AssociatedSet(norm.p, norm.d - 1, points)
+    return AssociatedSet.from_normalized(normalized[0])
 
 
 def image_is_translation_invariant(system: LinearSystem) -> bool:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcs import covering
+from seqcs import covering, systems
 from seqcs.analysis import quadratic_table
 from seqcs.cli import _json_text, build_parser, main
 from seqcs.covering import AffineCover, AffineSubspace
@@ -50,6 +50,15 @@ def test_analyze_remark_overall(files, capsys):
     assert code == 0
     assert report["complexity"]["s_cs"] == 2
     assert report["associated_set"] == [[1, 0], [0, 1], [0, 2], [1, 3], [2, 3], [3, 3]]
+
+
+def test_analyze_normalizes_once(files, capsys, monkeypatch):
+    calls = []
+    normalize = systems.normalize_translation_invariant
+    monkeypatch.setattr(systems, "normalize_translation_invariant", lambda s: calls.append(s) or normalize(s))
+    code, report = run(capsys, "analyze", files["rem1"])
+    assert code == 0 and report["associated_set"] == [[1, 0], [0, 1], [0, 2], [1, 3], [2, 3], [3, 3]]
+    assert len(calls) == 1
 
 
 def test_analyze_malformed_exits_2(files, capsys):

@@ -83,7 +83,7 @@ def test_linear_pool_matches_brute_force(instance):
 @given(affine_instances())
 def test_affine_pool_matches_brute_force(instance):
     p, M, points, excluded = instance
-    member_sets, pool = _span_candidates(points, excluded, p, M, 10**6)
+    member_sets = _span_candidates(points, excluded, p, M, 10**6)
 
     def spans(subset, j):
         return affine_oracle(points[j], [points[s] for s in subset], p)
@@ -92,7 +92,8 @@ def test_affine_pool_matches_brute_force(instance):
         return not any(affine_oracle(a, [points[s] for s in subset], p) for a in excluded)
 
     assert member_sets == maximal_closures(len(points), M + 1, spans, avoids_excluded)
-    for members, sub in zip(member_sets, pool):
+    for members in member_sets:
+        sub = AffineSubspace.from_points([points[j] for j in sorted(members)], p)
         assert {j for j, t in enumerate(points) if sub.contains(t)} == members
         assert not any(sub.contains(a) for a in excluded)
 

@@ -1,7 +1,8 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqcs.covering import (
     AffineCover,
@@ -161,3 +162,85 @@ def test_exact_set_cover_node_guard():
     candidates = [frozenset({i}) for i in range(12)]
     with pytest.raises(SearchGuardExceeded):
         exact_set_cover(12, candidates, node_guard=5)
+
+
+def test_set_cover_guard_trip_is_pinned():
+    # nodes of the set cover behind the (3,4,2) origin cover, sizes 1 to 3 and
+    # the extraction together: `--node-guard` must keep tripping at this node
+    points = simplex_minus_origin(3, 4, 2)
+    min_cover_excluding(3, 2, points, [(0, 0)], mode="hyperplanes-only", node_guard=53)
+    with pytest.raises(SearchGuardExceeded, match="set-cover search passed 52 nodes"):
+        min_cover_excluding(3, 2, points, [(0, 0)], mode="hyperplanes-only", node_guard=52)
+
+
+def first_cover(n_elements, sets, max_parts=None):
+    """Brute force: the first covering index tuple of `combinations`, by increasing size."""
+    for size in range(len(sets) + 1):
+        if max_parts is not None and size > max_parts:
+            return None
+        for combo in combinations(range(len(sets)), size):
+            if set().union(*(sets[i] for i in combo)) >= set(range(n_elements)):
+                return list(combo)
+    return None
+
+
+@st.composite
+def set_families(draw):
+    n = draw(st.integers(0, 5))
+    subset = st.frozensets(st.integers(0, n - 1), max_size=n) if n else st.just(frozenset())
+    body = draw(st.lists(subset, max_size=6))
+    copies = draw(st.lists(st.sampled_from(body), max_size=2)) if body else []
+    order = draw(st.permutations(range(len(body) + len(copies))))
+    family = body + copies
+    return n, [family[i] for i in order], draw(st.sampled_from([None, 0, 1, 2, 3]))
+
+
+@settings(max_examples=300)
+@given(set_families())
+def test_exact_set_cover_matches_brute_force(instance):
+    n, sets, max_parts = instance
+    assert exact_set_cover(n, sets, max_parts) == first_cover(n, sets, max_parts)
+
+
+def affine_subspaces_of_plane(p):
+    """Every affine subspace of F_p^2 as a point set: points, lines and the plane."""
+    grid = list(product(range(p), repeat=2))
+    lines = {
+        frozenset(z for z in grid if (a * z[0] + b * z[1]) % p == c)
+        for a, b in grid if (a, b) != (0, 0) for c in range(p)
+    }
+    return [frozenset([z]) for z in grid] + sorted(lines, key=sorted) + [frozenset(grid)]
+
+
+def brute_force_count(points, excluded, subspaces, max_count):
+    """Fewest of `subspaces` missing `excluded` whose union holds `points`, or None."""
+    traces = sorted({s & set(points) for s in subspaces if not s & set(excluded)} - {frozenset()}, key=sorted)
+    found = first_cover(len(points), [frozenset(points.index(z) for z in t) for t in traces], max_count)
+    return None if found is None else len(found)
+
+
+@st.composite
+def plane_instances(draw):
+    p = draw(st.sampled_from([3, 5]))
+    grid = list(product(range(p), repeat=2))
+    chosen = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=8, unique=True))
+    n_points = draw(st.integers(1, min(len(chosen), 6)))
+    max_count = draw(st.sampled_from([None, 1, 2, 3]))
+    return p, chosen[:n_points], chosen[n_points:], max_count
+
+
+@settings(max_examples=60)
+@given(plane_instances(), st.sampled_from(["hyperplanes-only", "affine-spans"]))
+def test_min_cover_matches_brute_force(instance, mode):
+    p, points, excluded, max_count = instance
+    subspaces = affine_subspaces_of_plane(p)
+    if mode == "hyperplanes-only":
+        subspaces = [s for s in subspaces if len(s) == p]
+    expected = brute_force_count(points, excluded, subspaces, max_count)
+    result = min_cover_excluding(p, 2, points, excluded, mode=mode, max_count=max_count)
+    if expected is None:
+        assert result is None
+        return
+    count, cover = result
+    assert count == expected == len(cover.subspaces)
+    assert verify_cover(cover)["passed"]

@@ -9,7 +9,7 @@ from seqcs.reduction import (
     merged_cover_identities,
     numeric_step_check,
 )
-from seqcs.systems import validate
+from seqcs.systems import LinearSystem, validate
 
 REMARK_F7 = validate({"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 3], [1, 2, 3], [1, 3, 3]]})
 PHI31 = validate({"p": 5, "forms": [[1, 0], [1, 1], [1, 2]]})
@@ -112,6 +112,23 @@ def test_shape_law_multi_step_chain():
         assert step.output_system.d == 2 * step.input_system.d - 1
         assert step.output_system.r == (1 << s) * (r - 2) + 2
         assert step.output_system.d == (1 << s) * (d - 1) + 1
+
+
+def test_chain_hashes_each_system_once(monkeypatch):
+    # each step's output system is hashed by the step and again by the
+    # verification of the next certificate; the digest is computed once
+    cert = phi_witness_certificate(3, 4, 2, at=(2, 1))
+    system = phi_system(3, 4, 2)
+    hashed = []
+    serialize = LinearSystem.canonical_json
+
+    def counting(self):
+        hashed.append(self)
+        return serialize(self)
+
+    monkeypatch.setattr(LinearSystem, "canonical_json", counting)
+    chain = build_chain(system, cert)
+    assert [id(s) for s in hashed] == [id(system)] + [id(step.output_system) for step in chain.steps]
 
 
 def test_chain_base_case():
