@@ -4,8 +4,10 @@ Group elements of F_p^n are encoded as integers in [0, p^n): digit t of the
 index (base p, digit 0 least significant) is coordinate t of the point.
 encode_point (digits to index) and digit_matrix (index to digits) are the
 only conversions; both take integers or integer arrays.  gowers_norm_direct
-keeps its own digit arithmetic on purpose: it is the independent oracle for
-the U^k recursion, so it must not share the encoding it checks.
+keeps its own index arithmetic on purpose (an addition table built with
+numpy's unravel_index/ravel_multi_index): it is the independent oracle for
+the U^k recursion, so it must not share the encoding it checks.  It takes
+blocks of shift tuples at a time and still sums every one of the 2^k corners.
 Averages enumerate every assignment; there is no sampling and no Fourier
 shortcut.  Sums use numpy's fixed-order pairwise reduction per chunk and an
 exact compensated sum of the chunk totals, so results are bit-stable.
@@ -22,11 +24,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .systems import LinearSystem
+from .field import is_prime
+from .systems import InputValidationError, LinearSystem, is_integer
 
 log = logging.getLogger(__name__)
 
@@ -73,9 +75,34 @@ class FunctionTable:
         }
 
     @staticmethod
-    def from_json(raw: dict) -> "FunctionTable":
-        vals = np.array([complex(re, im) for re, im in raw["values"]])
-        return FunctionTable(raw["p"], raw["n"], vals)
+    def from_json(raw) -> "FunctionTable":
+        """A table from its JSON description, collecting every violation.
+
+        The description is an object with a prime p, an integer n >= 1 and
+        p^n values, each a pair [real, imaginary] of finite numbers.
+        """
+        if not isinstance(raw, dict):
+            raise InputValidationError(["function table is not a JSON object"])
+        violations: list[str] = []
+        p, n, values = raw.get("p"), raw.get("n"), raw.get("values")
+        if not is_integer(p):
+            violations.append("p missing or not an integer")
+        elif not is_prime(p):
+            violations.append(f"p not prime: {p}")
+        if not is_integer(n) or n < 1:
+            violations.append("n missing or not a positive integer")
+        if not isinstance(values, list):
+            violations.append("values missing or not a list")
+        else:
+            for i, pair in enumerate(values):
+                if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite_real, pair))):
+                    violations.append(f"values[{i}] is not a pair of finite real numbers")
+            # p^n >= 2^n, so a large n is a mismatch without computing p^n
+            if not violations and (n > len(values).bit_length() or p**n != len(values)):
+                violations.append(f"values has {len(values)} entries, not p^n = {p}^{n}")
+        if violations:
+            raise InputValidationError(violations)
+        return FunctionTable(p, n, np.array([complex(re, im) for re, im in values]))
 
     @staticmethod
     def constant(p: int, n: int, value: complex = 1.0) -> "FunctionTable":
@@ -87,6 +114,16 @@ class FunctionTable:
         for pt in points:
             vals[encode_point(pt, p)] = 1.0
         return FunctionTable(p, n, vals)
+
+
+def _is_finite_real(x) -> bool:
+    """Whether a JSON value is a finite real number (booleans excluded)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def encode_point(point, p: int) -> int:
@@ -170,6 +207,27 @@ def random_one_bounded(p: int, n: int, seed, family: str = "phases") -> Function
 # form averages
 
 
+class _FormCoordinates:
+    """A form's n coordinates over decoded assignments, each built when encode_point indexes it."""
+
+    def __init__(self, form, digits: list[np.ndarray], n: int):
+        self.form, self.digits, self.n = form, digits, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        coord = None
+        for j, c in enumerate(self.form):
+            if c:
+                term = self.digits[j * self.n + t]
+                if coord is None:
+                    coord = c * term  # a new array, so += below never writes into digits
+                else:
+                    coord += term if c == 1 else c * term
+        return np.zeros_like(self.digits[t]) if coord is None else coord
+
+
 class LambdaEvaluator:
     """Average of Π f_i(ψ_i(x)) over all assignments, with precomputed form actions.
 
@@ -195,15 +253,9 @@ class LambdaEvaluator:
         p, d, n = int(self.system.p), self.system.d, self.n
         # digit j·n + t of an assignment index is coordinate t of variable j
         digits = digit_matrix(np.arange(start, stop, dtype=np.int64), p, d * n)
-        actions = []
-        for form in self.system.forms:
-            coords = [np.zeros(stop - start, dtype=np.int64) for _ in range(n)]
-            for j in range(d):
-                if form[j]:
-                    for t in range(n):
-                        coords[t] += form[j] * digits[j * n + t]
-            actions.append(encode_point(coords, p))
-        return actions
+        # encode_point folds each coordinate into the index as it is built, so one
+        # coordinate array is alive at a time, not all n
+        return [encode_point(_FormCoordinates(form, digits, n), p) for form in self.system.forms]
 
     def value(self, tables, conjugated=None) -> complex:
         if len(tables) != self.system.r:
@@ -361,51 +413,34 @@ def gowers_norm(
 
 
 def gowers_norm_direct(f: FunctionTable, k: int, point_guard: int = DEFAULT_POINT_GUARD) -> float:
-    """Independent oracle: the full 2^k-fold corner sum over x, h_1, ..., h_k."""
+    """Independent oracle: the full 2^k-fold corner sum over x, h_1, ..., h_k.
+
+    Blocks of h-tuples in itertools.product order, one row sum per tuple, and its
+    own addition table add[a, x] = index of a + x; no recursion, no ±h pairing.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     size = f.size
     if size ** (k + 1) > point_guard:
         raise EnumerationGuardExceeded("direct norm enumeration exceeds the guard")
-    p, n = f.p, f.n
-    perms: dict[int, np.ndarray] = {}
-
-    def perm_for(shift_elt: int) -> np.ndarray:
-        if shift_elt not in perms:
-            idx = np.arange(size, dtype=np.int64)
-            digits = digit_matrix(idx, p, n)
-            sdig = digit_matrix(np.array([shift_elt]), p, n)
-            out = np.zeros(size, dtype=np.int64)
-            mult = 1
-            for t in range(n):
-                out += ((digits[t] + sdig[t][0]) % p) * mult
-                mult *= p
-            perms[shift_elt] = out
-        return perms[shift_elt]
-
-    def add_elt(a: int, b: int) -> int:
-        out = 0
-        mult = 1
-        for _ in range(n):
-            out += ((a % p) + (b % p)) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
+    shape = (f.p,) * f.n + (1,)  # the unit axis lets F_p^0 unravel too
+    digits = np.unravel_index(np.arange(size), shape, order="F")
+    add = np.empty((size, size), dtype=np.intp)
+    for a in range(size):  # row by row, so the only size × size array is add
+        add[a] = np.ravel_multi_index([(x + x[a]) % f.p for x in digits], shape, order="F")
+    block = max(1, _BATCH_BUDGET // size)
     reals: list[float] = []
-    for hs in product(range(size), repeat=k):
-        prod = np.ones(size, dtype=np.complex128)
+    for start in range(0, size**k, block):
+        hs = np.unravel_index(np.arange(start, min(start + block, size**k)), (size,) * k)
+        prod = np.ones((len(hs[0]), size), dtype=np.complex128)
         for bits in range(1 << k):
-            corner = 0
+            corner = np.zeros(len(hs[0]), dtype=np.intp)
             for t in range(k):
                 if bits >> t & 1:
-                    corner = add_elt(corner, hs[t])
-            gathered = f.values[perm_for(corner)]
-            if bin(bits).count("1") % 2:
-                gathered = gathered.conj()
-            prod *= gathered
-        reals.append(float(prod.sum().real))
+                    corner = add[corner, hs[t]]
+            gathered = f.values[add[corner]]
+            prod *= gathered.conj() if bin(bits).count("1") % 2 else gathered
+        reals.extend(prod.sum(axis=1).real.tolist())
     raw = math.fsum(reals) / size ** (k + 1)
     if raw < 0:
         log.debug("clamping negative direct U^%d power average %.3e to 0", k, raw)

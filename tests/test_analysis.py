@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -170,6 +171,11 @@ def test_gowers_norm_k_validation():
         gowers_norm(f, 1)
     with pytest.raises(EnumerationGuardExceeded):
         gowers_norm(f, 9)
+    with pytest.raises(ValueError):
+        gowers_norm_direct(f, 0)
+    with pytest.raises(EnumerationGuardExceeded):
+        gowers_norm_direct(f, 3, point_guard=3**4 - 1)
+    assert gowers_norm_direct(f, 3, point_guard=3**4) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gowers_oracle_equivalence():
@@ -263,3 +269,39 @@ def test_lambda_chunked_path_matches(monkeypatch):
     finally:
         mod._evaluators.clear()
     assert chunked == pytest.approx(full, abs=1e-14)
+
+
+def test_form_actions_follow_the_digit_formula(monkeypatch):
+    """Cached and chunked actions are exactly the base-p formula, zero form and coefficient 2 included."""
+    import seqcs.analysis as mod
+
+    system = validate({"p": 3, "forms": [[1, 2, 0], [0, 0, 0], [2, 1, 1], [1, 1, 1]]})
+    p, n, d = 3, 2, 3
+    idx = np.arange(p ** (n * d))
+    expected = [
+        sum((sum(c * (idx // p ** (j * n + t) % p) for j, c in enumerate(form)) % p) * p**t for t in range(n))
+        for form in system.forms
+    ]
+    cached = LambdaEvaluator(system, n)._cached_actions
+    monkeypatch.setattr(mod, "_CHUNK", 7)
+    evaluator = LambdaEvaluator(system, n)
+    chunks = [evaluator._actions(s, min(s + 7, evaluator.total)) for s in range(0, evaluator.total, 7)]
+    for i, want in enumerate(expected):
+        assert cached[i].dtype == np.int64 and np.array_equal(cached[i], want)
+        assert np.array_equal(np.concatenate([chunk[i] for chunk in chunks]), want)
+
+
+def test_form_actions_hold_one_coordinate_at_a_time():
+    """At n = 8 the peak is the d·n digit arrays, the r actions and a few temporaries;
+    building all n coordinates of a form before encoding them would add n arrays more."""
+    system = validate({"p": 2, "forms": [[1, 0], [1, 1]]})
+    n = 8
+    evaluator = LambdaEvaluator(system, n)
+    tracemalloc.start()
+    try:
+        evaluator._actions(0, evaluator.total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array_bytes = 8 * evaluator.total
+    assert peak < (system.d * n + system.r + 6) * array_bytes

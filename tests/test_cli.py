@@ -314,6 +314,33 @@ def test_gowers_command(files, capsys, tmp_path):
     assert report["config"]["direct"] is False
 
 
+ONES = [[1.0, 0.0]] * 5
+
+
+@pytest.mark.parametrize(
+    "payload, messages",
+    [
+        ({"p": 5, "n": 1}, ["values missing or not a list"]),
+        (ONES, ["function table is not a JSON object"]),
+        ({"p": 5, "n": 1, "values": [["a", 0]] + ONES[1:]}, ["values[0] is not a pair of finite real numbers"]),
+        ({"p": 4, "n": 1, "values": ONES[1:]}, ["p not prime: 4"]),
+        ({"p": 5, "n": 0, "values": ONES[:1]}, ["n missing or not a positive integer"]),
+        ({"p": 5, "n": 1, "values": [[float("nan"), 0.0]] + ONES[1:]}, ["values[0] is not a pair"]),
+        ({"p": 6, "n": -1, "values": [[1.0], [True, 0], [1, 2, 3]]},
+         ["p not prime: 6", "n missing", "values[0]", "values[1]", "values[2]"]),
+    ],
+    ids=["no-values", "list", "string-value", "p-not-prime", "n-zero", "nan-value", "every-violation"],
+)
+def test_gowers_rejects_malformed_tables(tmp_path, capsys, payload, messages):
+    """A malformed function table exits 2 with every violation listed and no report."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(payload))
+    assert main(["gowers", str(path), "--k", "2", "--direct"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error:")
+    assert all(message in captured.err for message in messages)
+
+
 def replay_argv(config):
     """Rebuild a command line from a report's config by walking its subcommand's parser."""
     subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

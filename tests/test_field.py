@@ -206,6 +206,29 @@ def test_in_span_matches_coefficient_oracle():
         assert in_span(v, vectors, p) == span_oracle(v, vectors, p)
 
 
+ENTRY = st.one_of(st.integers(-30, 30), st.integers(-(2**70), 2**70))  # mostly non-canonical
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(p),
+    st.lists(st.tuples(*[ENTRY] * d), max_size=4),
+    st.tuples(*[ENTRY] * d),
+    st.lists(st.integers(0, p - 1), min_size=4, max_size=4),
+    st.booleans()))))
+def test_in_span_matches_coefficient_enumeration(instance):
+    """in_span equals the exhaustive coefficient search; half the targets are combinations
+    of the vectors plus the free draw times p, so both answers occur."""
+    p, vectors, free, coeffs, combine = instance
+    v = free
+    if combine:
+        v = tuple(p * x + sum(c * s[t] for c, s in zip(coeffs, vectors)) for t, x in enumerate(free))
+    expected = span_oracle(v, vectors, p)
+    assert in_span(v, vectors, p) == expected
+    if combine:
+        assert expected
+
+
 def test_in_affine_span_examples():
     assert in_affine_span((1, 0), [(1, 0), (0, 1)], 7)  # member point
     assert not in_affine_span((2, 2), [(1, 0), (0, 1)], 7)

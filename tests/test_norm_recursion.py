@@ -1,25 +1,47 @@
-"""Property tests: the paired U^k recursion against the direct oracle, and the byte-capped caches.
+"""Property tests: the paired U^k recursion against the direct oracle, the batched oracle
+against the loop it replaced, and the byte-capped caches.
 
-The direct oracle loops in Python over all size^k shift tuples, so the cases
-are the groups with p^n <= 49 and the orders k in {2, 3, 4} for which that
-loop has at most 20000 iterations.
+The direct oracle sums over every point (x, h_1, ..., h_k), so the recursion
+cases are the groups F_p^n and the orders k in {2, 3, 4} with at most 6·10^6
+such points, (p^n)^(k+1) <= 6·10^6.  The loop oracle takes one Python
+iteration per shift tuple, so its cases have p^n <= 343 and at most 2401 tuples.
 """
 
+import logging
+import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcs import analysis
-from seqcs.analysis import gowers_norm, gowers_norm_direct, random_one_bounded
+from seqcs.analysis import (
+    DEFAULT_POINT_GUARD,
+    EnumerationGuardExceeded,
+    FunctionTable,
+    digit_matrix,
+    gowers_norm,
+    gowers_norm_direct,
+    random_one_bounded,
+)
 from seqcs.phi_km import phi_system
+
+log = logging.getLogger(__name__)
 
 CASES = [
     (p, n, k)
     for p in (2, 3, 5, 7)
-    for n in range(1, 6)
+    for n in range(1, 9)
     for k in (2, 3, 4)
-    if p**n <= 49 and (p**n) ** k <= 20_000
+    if (p**n) ** (k + 1) <= 6_000_000
+]
+ORACLE_CASES = [
+    (p, n, k)
+    for p in (2, 3, 5, 7)
+    for n in range(1, 9)
+    for k in (1, 2, 3, 4)
+    if p**n <= 343 and (p**n) ** k <= 2401
 ]
 FAMILIES = ("phases", "disk", "signs", "sparse")
 EXAMPLES = settings(max_examples=40)
@@ -35,6 +57,78 @@ def test_recursion_matches_direct_oracle(case, family, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_BATCH_BUDGET", 16)  # one shift at a time at every level
         assert gowers_norm(f, k) == pytest.approx(oracle, abs=1e-12)
+
+
+def reference_gowers_norm_direct(f: FunctionTable, k: int, point_guard: int = DEFAULT_POINT_GUARD) -> float:
+    """The loop oracle that the batched gowers_norm_direct replaced, kept verbatim."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    size = f.size
+    if size ** (k + 1) > point_guard:
+        raise EnumerationGuardExceeded("direct norm enumeration exceeds the guard")
+    p, n = f.p, f.n
+    perms: dict[int, np.ndarray] = {}
+
+    def perm_for(shift_elt: int) -> np.ndarray:
+        if shift_elt not in perms:
+            idx = np.arange(size, dtype=np.int64)
+            digits = digit_matrix(idx, p, n)
+            sdig = digit_matrix(np.array([shift_elt]), p, n)
+            out = np.zeros(size, dtype=np.int64)
+            mult = 1
+            for t in range(n):
+                out += ((digits[t] + sdig[t][0]) % p) * mult
+                mult *= p
+            perms[shift_elt] = out
+        return perms[shift_elt]
+
+    def add_elt(a: int, b: int) -> int:
+        out = 0
+        mult = 1
+        for _ in range(n):
+            out += ((a % p) + (b % p)) % p * mult
+            a //= p
+            b //= p
+            mult *= p
+        return out
+
+    reals: list[float] = []
+    for hs in product(range(size), repeat=k):
+        prod = np.ones(size, dtype=np.complex128)
+        for bits in range(1 << k):
+            corner = 0
+            for t in range(k):
+                if bits >> t & 1:
+                    corner = add_elt(corner, hs[t])
+            gathered = f.values[perm_for(corner)]
+            if bin(bits).count("1") % 2:
+                gathered = gathered.conj()
+            prod *= gathered
+        reals.append(float(prod.sum().real))
+    raw = math.fsum(reals) / size ** (k + 1)
+    if raw < 0:
+        log.debug("clamping negative direct U^%d power average %.3e to 0", k, raw)
+        raw = 0.0
+    return raw ** (1.0 / (1 << k))
+
+
+@pytest.mark.parametrize(
+    "p, k, family",
+    # every prime meets every order and every family
+    [(p, k, FAMILIES[(i + k) % 4]) for i, p in enumerate((2, 3, 5, 7)) for k in (1, 2, 3, 4)],
+)
+@settings(EXAMPLES, max_examples=2)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_batched_oracle_equals_the_loop_oracle(p, k, family, data, seed):
+    n = data.draw(st.sampled_from([n for q, n, j in ORACLE_CASES if (q, j) == (p, k)]), label="n")
+    f = random_one_bounded(p, n, [seed], family)
+    expected = reference_gowers_norm_direct(f, k)
+    assert gowers_norm_direct(f, k) == expected
+    # one tuple per block, then two blocks with a shorter last one
+    for block in (1, f.size**k // 2 + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_BATCH_BUDGET", block * f.size)
+            assert gowers_norm_direct(f, k) == expected
 
 
 def negate(h: int, p: int, n: int) -> int:
