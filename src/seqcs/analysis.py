@@ -237,6 +237,8 @@ class LambdaEvaluator:
     """
 
     def __init__(self, system: LinearSystem, n: int, point_guard: int = DEFAULT_POINT_GUARD):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         self.system = system
         self.n = n
         self.group_size = int(system.p) ** n
@@ -399,6 +401,8 @@ def gowers_norm(
     """
     if k < 2:
         raise ValueError("uniformity norm defined here for k >= 2")
+    if f.n < 1:
+        raise ValueError(f"n must be >= 1, got {f.n}")
     if k > k_cap:
         raise EnumerationGuardExceeded(f"k={k} above cap {k_cap}")
     if f.size > point_guard:
@@ -529,6 +533,8 @@ def gvn_check(
     With `tables` given (family "counterexample"/"fixed"), the supplied tuple
     is evaluated once instead of sampling.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     exponent = 2.0 ** (1 - ell)
     evaluator = get_evaluator(system, n, point_guard)
     fixed = tables is not None

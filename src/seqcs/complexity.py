@@ -6,17 +6,20 @@ covers along an ordered sequence of forms.  Searches are exact: candidate
 parts are the maximal admissible closures (a part can always be grown to the
 full intersection of its span with the allowed forms, so restricting to
 maximal closures loses no covers), and the set-cover step is branch and bound.
-The closures come from `covering.closure_pool`, the same closure-lattice walk
-that yields the affine-span pools of `seqcs.covering` from lifted points.
+The closures come from `covering.closure_pool` over the system's forms, with
+the prefix excluded by index; the same closure-lattice walk yields the
+affine-span pools of `seqcs.covering` from lifted points.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
+from math import prod
 
 from .covering import SearchGuardExceeded, closure_pool, exact_set_cover
-from .field import SpanBasis, rank, span_basis, tensor_power, vec
+from .field import SpanBasis, rank, span_basis, vec
 from .systems import InputValidationError, LinearSystem, is_integer
 
 
@@ -102,21 +105,6 @@ class WitnessCertificate:
             return WitnessCertificate.from_json(json.load(fh))
 
 
-def _admissible_pool(system: LinearSystem, excluded: tuple[int, ...], node_guard: int):
-    """All maximal admissible closed parts, sorted by content.
-
-    Returns None when no admissible part can exist (an excluded form is zero,
-    hence inside every span).  A part is the set of allowed indices whose form
-    lies in some subspace avoiding all excluded forms; maximal parts suffice.
-    """
-    excluded_set = set(excluded)
-    allowed = [j for j in range(system.r) if j not in excluded_set]
-    forms = system.forms
-    vectors = [forms[j] for j in allowed]
-    pool = closure_pool(vectors, [forms[t] for t in excluded], system.p, system.d, node_guard)
-    return None if pool is None else [frozenset(allowed[pos] for pos in cl) for cl in pool]
-
-
 def admissible_cover(
     system: LinearSystem,
     to_cover,
@@ -137,7 +125,7 @@ def admissible_cover(
         raise ValueError("to_cover and excluded overlap")
     if not goal:
         return CoverCertificate(targets, (), 0 if max_parts is None else max(max_parts - 1, -1))
-    pool = _admissible_pool(system, targets, node_guard)
+    pool = closure_pool(system.forms, targets, system.p, system.d, node_guard)
     if pool is None:
         return None
     position = {j: pos for pos, j in enumerate(goal)}
@@ -180,6 +168,8 @@ def sequential_witness(
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     r = system.r
     everything = frozenset(range(r))
     cache: dict[frozenset[int], tuple[tuple[int, ...], ...] | None] = {}
@@ -298,7 +288,13 @@ def tensor_criterion(
     system: LinearSystem, k_max: int, entry_guard: int = 10**7
 ) -> TensorCriterionResult:
     """Least k <= k_max making the (k+1)-fold tensor powers of the forms
-    linearly independent; duplicates or zero forms can never become independent."""
+    linearly independent; duplicates or zero forms can never become independent.
+
+    The columns of f^{⊗m} whose multi-indices are the same multiset are
+    equal, so the rank is taken over one column per multiset: the distinct
+    monomials f^α, unweighted (multinomial weights vanish mod p once m >= p).
+    The entry guard still counts all r·d^m entries of the tensor powers.
+    """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     forms = system.forms
@@ -310,8 +306,9 @@ def tensor_criterion(
     for k in range(k_max + 1):
         if system.r * system.d ** (k + 1) > entry_guard:
             raise SearchGuardExceeded(f"tensor powers at k={k} exceed the entry budget")
-        powers = [tensor_power(f, k + 1, system.p) for f in forms]
-        rk = rank(powers, system.p)
+        monomials = list(combinations_with_replacement(range(system.d), k + 1))
+        rows = [tuple(prod(f[j] for j in alpha) % system.p for alpha in monomials) for f in forms]
+        rk = rank(rows, system.p)
         ranks.append((k, rk))
         if rk == system.r:
             return TensorCriterionResult(k, "independent", tuple(ranks))

@@ -3,13 +3,16 @@
 Candidate pools are finite and complete: either all affine hyperplanes that
 miss the excluded points, or the affine spans of subsets of the target set.
 The spans come from `closure_pool`, the one closure-lattice walk of the
-package: it enumerates every distinct span without walking all subsets, and
-serves both linear spans (the parts of `seqcs.complexity`) and affine spans,
-which are linear spans of the points lifted to (1, s).  The walk reduces
-each vector and each excluded vector once per node and groups the vectors by
-`residual_key`: one group is one child span, and an excluded vector with the
-group's key makes it inadmissible.  Zero vectors lie in every span, so the
-walk seeds them into every closure.  Minimum covers are exact: one
+package: it enumerates every distinct span without walking all subsets.  It
+takes one ground set of vectors and the indices of the excluded ones, and
+serves both linear spans (the parts of `seqcs.complexity`, over a system's
+forms with a prefix excluded) and affine spans, which are linear spans of the
+points lifted to (1, s): `min_cover_excluding` lifts the points and the
+excluded points together, the excluded ones as the tail.  The walk reduces
+each vector outside a node's closure once and groups the vectors by
+`residual_key`: one group is one child span, and a group that holds an
+excluded index is inadmissible.  Zero vectors lie in every span, so the walk
+seeds them into every closure.  Minimum covers are exact: one
 branch-and-bound recursion tries cover sizes upward, and the first size that
 succeeds is extracted with the same recursion.  A node guard, counting nodes
 at every size tried, aborts instead of returning an unproven answer.
@@ -217,39 +220,39 @@ def residual_key(basis: SpanBasis, v) -> Vector:
 def closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
     """Maximal admissible closures of `vectors`, as index sets sorted by content.
 
-    The closure of a span is the set of indices whose vector lies in it; the
-    span is admissible when it contains no excluded vector.  Closure-lattice
-    walk: every span of a subset shows up as the closure of some chain of
-    single-vector extensions, so the pool is complete while only distinct
-    closures are visited.
+    `excluded` is a set of indices into `vectors`.  The closure of a span is
+    the set of indices whose vector lies in it; the span is admissible when
+    it holds no excluded vector, so no returned closure holds an excluded
+    index.  Closure-lattice walk: every span of a subset shows up as the
+    closure of some chain of single-vector extensions, so the pool is
+    complete while only distinct closures are visited.
 
     A node is a closure cl with the basis B of its span.  Its children are the
     spans of B ∪ {v} for v outside cl, and they are found with one reduction
-    per vector: v's child holds exactly the vectors with v's `residual_key`
-    modulo B, and it is inadmissible exactly when an excluded vector has that
-    key too.  So a node costs one reduction per vector and per excluded
-    vector.  Children are taken in order of their first vector, and a child's
-    basis is built only when its closure is new.  Zero vectors lie in every
-    span, so every closure holds them; the seeds are the children of the
-    empty basis, with the zero-only closure placed at its first zero index.
+    per vector outside cl, excluded vectors included: v's child holds exactly
+    the vectors with v's `residual_key` modulo B, and it is inadmissible
+    exactly when one of them is excluded.  Children are taken in order of
+    their first index, and a child's basis is built only when its closure is
+    new.  Zero vectors lie in every span, so every closure holds them; the
+    seeds are the children of the empty basis, with the zero-only closure
+    placed at its first zero index.
 
     Entries may be any integers: they are reduced mod p once, here.  Returns
     None when an excluded vector is zero, hence inside every span.  Raises
     SearchGuardExceeded past `node_guard` visits.
     """
     vectors = [vec(v, p) for v in vectors]
-    excluded = [vec(v, p) for v in excluded]
-    if any(not any(v) for v in excluded):
+    excluded = frozenset(excluded)
+    if any(not any(vectors[t]) for t in excluded):
         return None
 
     def children(basis: SpanBasis, cl: frozenset[int]) -> list[tuple[frozenset[int], int]]:
         """(closure, first index) of each admissible child, in order of first index."""
-        banned = {residual_key(basis, v) for v in excluded}
         groups: dict[Vector, list[int]] = {}
         for j, v in enumerate(vectors):
             if j not in cl:
                 groups.setdefault(residual_key(basis, v), []).append(j)
-        return [(cl.union(js), js[0]) for key, js in groups.items() if key not in banned]
+        return [(cl.union(js), js[0]) for js in groups.values() if excluded.isdisjoint(js)]
 
     seen: dict[frozenset[int], SpanBasis] = {}
     queue: list[frozenset[int]] = []
@@ -279,15 +282,6 @@ def closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
         if not kids:
             maximal.append(cl)
     return sorted(maximal, key=sorted)
-
-
-def _span_candidates(points: list[Vector], excluded: list[Vector], p: int, M: int, node_guard: int):
-    """Maximal admissible affine spans of subsets of `points`, as index sets sorted by content.
-
-    Affine spans are linear spans after lifting each point s to (1, s).
-    """
-    lifted = [(1,) + t for t in points]
-    return closure_pool(lifted, [(1,) + a for a in excluded], p, M + 1, node_guard)
 
 
 def point_set_from_json(raw) -> tuple[Prime, int, list[Vector], list[Vector]]:
@@ -357,7 +351,9 @@ def min_cover_excluding(
         def subspace(ci: int) -> AffineSubspace:
             return planes[ci][1]
     elif mode == "affine-spans":
-        member_sets = _span_candidates(pts, exc, prime, M, node_guard)
+        # affine spans are linear spans of the points lifted to (1, s)
+        lifted = [(1,) + t for t in pts + exc]
+        member_sets = closure_pool(lifted, range(len(pts), len(lifted)), prime, M + 1, node_guard)
 
         def subspace(ci: int) -> AffineSubspace:
             return AffineSubspace.from_points([pts[i] for i in sorted(member_sets[ci])], prime)

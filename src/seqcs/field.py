@@ -220,21 +220,6 @@ def in_affine_span(a: Sequence[int], points: Sequence[Sequence[int]], p: int) ->
     return in_span((1,) + vec(a, p), lifted, p)
 
 
-def tensor_power(v: Sequence[int], m: int, p: int) -> Vector:
-    """m-fold tensor power of v, multi-indices in lexicographic order.
-
-    Entry at (j_1,...,j_m) is v_{j_1}···v_{j_m} mod p; the entry index is
-    j_1·d^{m-1} + ... + j_m.
-    """
-    if m < 1:
-        raise ValueError("tensor power exponent must be >= 1")
-    base = vec(v, p)
-    out = base
-    for _ in range(m - 1):
-        out = tuple((a * b) % p for a in base for b in out)
-    return out
-
-
 def apply_completing(f: Sequence[int], v: Sequence[int], p: int) -> Vector:
     """f·T for T = completing_transform(v, p), in O(d).
 

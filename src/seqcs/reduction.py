@@ -255,6 +255,8 @@ def numeric_step_check(
     drawn per relabeled position; the output average routes them (with
     conjugations) through the slot table.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     r = step.input_system.r
     in_eval = get_evaluator(step.transformed_system, n, point_guard)
     out_eval = get_evaluator(step.output_system, n, point_guard)

@@ -178,6 +178,20 @@ def test_gowers_norm_k_validation():
     assert gowers_norm_direct(f, 3, point_guard=3**4) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_norm_checks_need_a_group_and_a_trial():
+    """F_p^0 and an empty trial list are refused by name, not met by a crash."""
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            LambdaEvaluator(PHI31, n)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            gvn_check(PHI31, 0, 1, 1, n, trials=2)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gowers_norm(FunctionTable(3, 0, np.ones(1)), 2)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            gvn_check(PHI31, 0, 1, 1, 1, trials=trials)
+
+
 def test_gowers_oracle_equivalence():
     cases = [(2, 1, 2), (3, 1, 2), (3, 1, 3), (3, 2, 2), (3, 2, 3), (5, 1, 2), (5, 2, 2)]
     for idx, (p, n, k) in enumerate(cases):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcs import covering, systems
-from seqcs.analysis import quadratic_table
+from seqcs.analysis import FunctionTable, quadratic_table
 from seqcs.cli import _json_text, build_parser, main
 from seqcs.covering import AffineCover, AffineSubspace
-from seqcs.phi_km import phi_system
+from seqcs.phi_km import phi_system, phi_witness_certificate
 
 PHI31 = {"p": 5, "forms": [[1, 0], [1, 1], [1, 2]]}
 REMARK_F7 = {"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 3], [1, 2, 3], [1, 3, 3]]}
@@ -341,10 +341,14 @@ def test_gowers_rejects_malformed_tables(tmp_path, capsys, payload, messages):
     assert all(message in captured.err for message in messages)
 
 
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each subcommand, by name."""
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def replay_argv(config):
     """Rebuild a command line from a report's config by walking its subcommand's parser."""
-    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    actions = [a for a in subs.choices[config["command"]]._actions if a.dest not in ("help", "output", "out")]
+    actions = [a for a in subcommand_parsers()[config["command"]]._actions if a.dest not in ("help", "output", "out")]
     assert set(config) == {"command"} | {a.dest for a in actions}
     argv = [config["command"]]
     for action in actions:
@@ -578,3 +582,83 @@ def test_reduce_marks_an_unbound_witness(files, capsys, tmp_path):
     code, report = run(capsys, "reduce", files["rem1"], "--witness", cert_path)
     assert code == 1 and "error" in report
     assert report["unbound"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gvn", "--n", "0"], "n must be >= 1, got 0"),
+    (["gvn", "--n", "-1"], "n must be >= 1, got -1"),
+    (["gvn", "--trials", "-3"], "trials must be >= 1, got -3"),
+    (["gvn", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["reduce", "--n", "0"], "n must be >= 1, got 0"),
+    (["reduce", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["witness", "--k", "-1"], "k must be >= 0, got -1"),
+], ids=["gvn-n-0", "gvn-n-neg", "gvn-trials-neg", "gvn-trials-0", "reduce-n-0", "reduce-trials-0", "witness-k-neg"])
+def test_out_of_range_integer_flags_exit_2_by_name(files, capsys, tmp_path, argv, message):
+    command, *flags = argv
+    base = {
+        "gvn": ["gvn", "--system", files["phi31"], "--at", "0", "--k", "1", "--ell", "1", "--trials", "2"],
+        "reduce": ["reduce", files["rem1"], "--witness", write_certificate(capsys, files, tmp_path),
+                   "--numeric-check", "--trials", "2"],
+        "witness": ["witness", files["phi31"], "--k", "1", "--at", "0"],
+    }[command]
+    code = main(base + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_contract_fuzzer(tmp_path, capsys):
+    """Every subcommand, with each integer option at -1, 0 and 1 and each input
+    file empty, truncated, `[]` or `3`, exits 0, 1 or 2 without a traceback.
+
+    The valid inputs are tiny and made from phi(3,3,1); values so large that
+    only a size guard could stop them are left out."""
+    texts = {
+        "system": json.dumps(phi_system(3, 3, 1).to_json()),
+        "certificate": json.dumps(phi_witness_certificate(3, 3, 1).to_json()),
+        "function": json.dumps(FunctionTable.constant(3, 1).to_json()),
+        "points": json.dumps({"p": 3, "M": 1, "points": [[1], [2]], "excluded": [[0]]}),
+    }
+    inputs, broken = {}, {}
+    for name, text in texts.items():
+        inputs[name] = str(tmp_path / f"{name}.json")
+        Path(inputs[name]).write_text(text)
+        broken[inputs[name]] = []
+        for label, content in [("empty", ""), ("truncated", text[: len(text) // 2]), ("list", "[]"), ("int", "3")]:
+            path = tmp_path / f"{name}-{label}.json"
+            path.write_text(content)
+            broken[inputs[name]].append(str(path))
+    system, certificate, function, points = inputs.values()
+    bases = [
+        ["analyze", system],
+        ["witness", system, "--k", "1", "--max-len", "2"],
+        ["verify", certificate, system],
+        ["reduce", system, "--witness", certificate, "--numeric-check", "--trials", "2"],
+        ["gvn", "--system", system, "--at", "0", "--k", "1", "--ell", "1", "--trials", "2"],
+        ["gvn", "--system", system, "--at-origin", "--k", "1", "--ell", "2",
+         "--family", "counterexample", "--phi-k", "3", "--phi-M", "1"],
+        ["phikm", "--p", "3", "--k", "3", "--M", "1", "--witness", "--verify"],
+        ["cover", "--phikm-origin", "--p", "3", "--k", "3", "--M", "1"],
+        ["cover", points],
+        ["gowers", function, "--k", "2", "--direct"],
+    ]
+    parsers = subcommand_parsers()
+    assert {base[0] for base in bases} == set(parsers)
+    cases = []
+    for base in bases:
+        options = [a.option_strings[0] for a in parsers[base[0]]._actions if a.type is int]
+        cases += [base + [option, str(value)] for option in options for value in (-1, 0, 1)]
+        for at, arg in enumerate(base):
+            cases += [base[:at] + [bad] + base[at + 1:] for bad in broken.get(arg, ())]
+    failures = []
+    for argv in cases:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        except Exception as exc:  # any exception escaping main breaks the contract
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2) or "Traceback" in err:
+            failures.append((argv, code, err[-200:]))
+    assert not failures

@@ -5,7 +5,8 @@ nonempty set is the span of at most dim of its members, and every affine span
 of a nonempty point set in F_p^M is the affine span of at most M+1 of them.
 Membership is decided by the exhaustive coefficient oracles of test_field.
 The walk's visit order is checked against `reference_closure_pool`, the walk
-as it was before children were grouped by residual key.
+as it was before children were grouped by residual key, when excluded vectors
+were a second list; the walk gets them as the tail of its ground set.
 """
 
 from itertools import combinations, product
@@ -13,8 +14,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from seqcs.complexity import _admissible_pool
-from seqcs.covering import AffineSubspace, SearchGuardExceeded, _span_candidates, closure_pool, residual_key
+from seqcs.covering import AffineSubspace, SearchGuardExceeded, closure_pool, residual_key
 from seqcs.field import SpanBasis, completing_transform, mat_inverse, mat_mul, rank, span_basis
 from seqcs.phi_km import phi_system, s_km_points
 from seqcs.systems import LinearSystem
@@ -44,7 +44,7 @@ def linear_instances(draw):
     p = draw(PRIMES)
     d = draw(st.integers(1, 3))
     forms = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * d), min_size=1, max_size=7))
-    excluded = draw(st.lists(st.integers(0, len(forms) - 1), min_size=1, max_size=2, unique=True))
+    excluded = draw(st.lists(st.integers(0, len(forms) - 1), max_size=2, unique=True))
     return LinearSystem(p, tuple(forms)), tuple(sorted(excluded))
 
 
@@ -58,15 +58,28 @@ def affine_instances(draw):
     return p, M, chosen[:n_points], chosen[n_points:]
 
 
+def linear_pool(system: LinearSystem, excluded, node_guard: int):
+    """The parts pool of `admissible_cover`: the system's forms, excluded ones by index."""
+    return closure_pool(system.forms, excluded, system.p, system.d, node_guard)
+
+
+def affine_pool(points, excluded, p: int, M: int, node_guard: int):
+    """The affine-span pool of `min_cover_excluding`: points and excluded points lifted
+    to (1, s) in one ground set, the excluded ones as its tail."""
+    lifted = [(1,) + tuple(t) for t in list(points) + list(excluded)]
+    return closure_pool(lifted, range(len(points), len(lifted)), p, M + 1, node_guard)
+
+
 @EXAMPLES
 @given(linear_instances())
 def test_linear_pool_matches_brute_force(instance):
     system, excluded = instance
-    pool = _admissible_pool(system, excluded, 10**6)
+    pool = linear_pool(system, excluded, 10**6)
     forms, p = system.forms, system.p
     if any(not any(forms[t]) for t in excluded):
         assert pool is None
         return
+    assert not any(part & set(excluded) for part in pool)
     allowed = [j for j in range(system.r) if j not in excluded]
 
     def spans(subset, j):
@@ -83,7 +96,8 @@ def test_linear_pool_matches_brute_force(instance):
 @given(affine_instances())
 def test_affine_pool_matches_brute_force(instance):
     p, M, points, excluded = instance
-    member_sets = _span_candidates(points, excluded, p, M, 10**6)
+    member_sets = affine_pool(points, excluded, p, M, 10**6)
+    assert all(max(members) < len(points) for members in member_sets)
 
     def spans(subset, j):
         return affine_oracle(points[j], [points[s] for s in subset], p)
@@ -98,6 +112,22 @@ def test_affine_pool_matches_brute_force(instance):
         assert not any(sub.contains(a) for a in excluded)
 
 
+@pytest.mark.parametrize("vectors, excluded, pool", [
+    # an excluded index that repeats an allowed vector bans every span holding that vector
+    ([(1, 0), (0, 1), (1, 0)], {2}, [{1}]),
+    ([(0, 0), (1, 2), (2, 1)], {1}, [{0}]),
+    # nothing excluded: the whole ground set is the one maximal closure
+    ([(1, 0), (0, 1), (1, 1), (0, 0)], set(), [{0, 1, 2, 3}]),
+    ([(1, 1), (2, 2)], (), [{0, 1}]),
+    # an excluded zero vector lies in every span
+    ([(1, 0), (0, 0)], {1}, None),
+    ([(0, 0), (0, 0)], {1}, None),
+], ids=["duplicate", "duplicate-multiple-and-zero", "none", "none-parallel", "zero", "zero-duplicate"])
+def test_excluded_indices(vectors, excluded, pool):
+    expected = None if pool is None else [frozenset(c) for c in pool]
+    assert closure_pool(vectors, excluded, 3, 2) == expected
+
+
 S343_POINTS = [z for z in s_km_points(3, 4, 3) if any(z)]
 PHI342_FORMS = phi_system(3, 4, 2).forms
 PHI342_WITH_ZERO = LinearSystem(3, PHI342_FORMS[:4] + ((0, 0, 0),) + PHI342_FORMS[4:])
@@ -108,10 +138,10 @@ PHI342_WITH_ZERO = LinearSystem(3, PHI342_FORMS[:4] + ((0, 0, 0),) + PHI342_FORM
 # `--node-guard` must still trip at the same node.  A walk whose seeds leave
 # the zero form out of their closures visits 23 nodes in the last case.
 @pytest.mark.parametrize("walk, nodes", [
-    (lambda guard: _admissible_pool(phi_system(5, 6, 2), (0,), guard), 42),
-    (lambda guard: _admissible_pool(phi_system(3, 4, 2), (0, 3), guard), 11),
-    (lambda guard: _span_candidates(S343_POINTS, [(0, 0, 0)], 3, 3, guard), 116),
-    (lambda guard: _admissible_pool(PHI342_WITH_ZERO, (0, 3), guard), 12),
+    (lambda guard: linear_pool(phi_system(5, 6, 2), (0,), guard), 42),
+    (lambda guard: linear_pool(phi_system(3, 4, 2), (0, 3), guard), 11),
+    (lambda guard: affine_pool(S343_POINTS, [(0, 0, 0)], 3, 3, guard), 116),
+    (lambda guard: linear_pool(PHI342_WITH_ZERO, (0, 3), guard), 12),
 ])
 def test_node_guard_trips_at_the_same_node(walk, nodes):
     walk(nodes)
@@ -171,6 +201,12 @@ def reference_closure_pool(vectors, excluded, p: int, dim: int, node_guard: int 
     return sorted(maximal, key=sorted)
 
 
+def indexed_walk(vectors, excluded, p: int, dim: int, node_guard: int):
+    """`closure_pool` on the ground set vectors + excluded, the excluded ones by index."""
+    tail = range(len(vectors), len(vectors) + len(excluded))
+    return closure_pool(vectors + excluded, tail, p, dim, node_guard)
+
+
 def walk_outcome(walk, args, guard):
     """The walk's pool, or its guard message when `guard` trips."""
     try:
@@ -208,7 +244,7 @@ def test_walk_matches_reference_visit_for_visit(instance):
     guard that does not trip, and the same message (closures found so far,
     which depends on the visit order) at every guard below it."""
     guard = 0
-    while isinstance(outcome := walk_outcome(closure_pool, instance, guard), str):
+    while isinstance(outcome := walk_outcome(indexed_walk, instance, guard), str):
         assert walk_outcome(reference_closure_pool, instance, guard) == outcome
         guard += 1
     assert walk_outcome(reference_closure_pool, instance, guard) == outcome

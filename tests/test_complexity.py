@@ -23,9 +23,10 @@ from seqcs.systems import (
     random_invertible,
     validate,
 )
+from seqcs.field import rank
 from seqcs.phi_km import phi_system, phi_witness_certificate, s_km_points
 
-from test_field import reference_rref
+from test_field import reference_rref, tensor_power
 
 REMARK_F7 = validate({"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 3], [1, 2, 3], [1, 3, 3]]})
 REMARK_F23 = validate({"p": 23, "forms": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 10, 1], [1, 1, 2], [1, 2, 2]]})
@@ -118,6 +119,12 @@ def test_sequential_witness_length_one_consistency():
         s, _ = cs_complexity_at(sys_, i)
         found = sequential_witness(sys_, i, k, 1)
         assert (found is not None) == (s is not None and s <= k)
+
+
+def test_sequential_witness_rejects_negative_k():
+    # no cover has k + 1 = 0 parts, but that is a bad input, not an absent witness
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        sequential_witness(PHI31, 0, -1, 3)
 
 
 def test_sequential_witness_remark_lengths():
@@ -221,6 +228,34 @@ def test_tensor_criterion_duplicates_never_independent():
 def test_tensor_criterion_none_within_cap():
     sys_ = validate({"p": 2, "forms": [[1, 0], [0, 1], [1, 1], [1, 1, ]]})
     assert tensor_criterion(sys_, 1).value is None
+
+
+@st.composite
+def tensor_instances(draw):
+    """Distinct nonzero forms, many of them multiples of a small palette, so that
+    many systems stay dependent up to m = 5 and so reach m >= p."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(0, p - 1)] * d).filter(any)
+    palette = draw(st.lists(vector, min_size=1, max_size=3))
+    multiple = st.tuples(st.sampled_from(palette), st.integers(1, p - 1)).map(
+        lambda vc: tuple(vc[1] * x % p for x in vc[0]))
+    forms = draw(st.lists(st.one_of(multiple, vector), min_size=1, max_size=8, unique=True))
+    return LinearSystem(p, tuple(forms))
+
+
+@settings(max_examples=150)
+@given(tensor_instances())
+def test_tensor_criterion_ranks_equal_tensor_power_ranks(system):
+    """The monomial ranks are the ranks of the full tensor powers f^{⊗m}, m <= 5."""
+    expected = []
+    for k in range(5):
+        expected.append((k, rank([tensor_power(f, k + 1, system.p) for f in system.forms], system.p)))
+        if expected[-1][1] == system.r:
+            break
+    result = tensor_criterion(system, 4)
+    assert result.ranks == tuple(expected)
+    assert result.value == (expected[-1][0] if expected[-1][1] == system.r else None)
 
 
 def test_tensor_criterion_invariant_under_change_of_variables():

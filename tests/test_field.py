@@ -16,7 +16,6 @@ from seqcs.field import (
     rank,
     rref,
     span_basis,
-    tensor_power,
     vec,
     vec_mat,
     Prime,
@@ -252,6 +251,22 @@ def test_remark_point_membership():
     points = [(1, 0), (0, 1), (0, 2), (1, 3), (2, 3)]
     assert affine_oracle((3, 3), points, 7) is True
     assert in_affine_span((3, 3), points, 7) is True
+
+
+def tensor_power(v, m: int, p: int):
+    """m-fold tensor power of v, multi-indices in lexicographic order: an oracle
+    for the monomial ranks of `tensor_criterion`.
+
+    Entry at (j_1,...,j_m) is v_{j_1}···v_{j_m} mod p; the entry index is
+    j_1·d^{m-1} + ... + j_m.
+    """
+    if m < 1:
+        raise ValueError("tensor power exponent must be >= 1")
+    base = vec(v, p)
+    out = base
+    for _ in range(m - 1):
+        out = tuple((a * b) % p for a in base for b in out)
+    return out
 
 
 def test_tensor_power_examples():

@@ -184,6 +184,15 @@ def test_numeric_step_check_random_families():
     assert numeric_step_check(step, n=1, trials=20, seed=7, family="character-lead") <= 1e-9
 
 
+def test_numeric_step_check_needs_a_trial_and_a_group():
+    step = cs_step(PHI31, phi31_artificial_witness())
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            numeric_step_check(step, n=1, trials=trials)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        numeric_step_check(step, n=0, trials=1)
+
+
 def test_numeric_step_check_phi31():
     step = cs_step(PHI31, phi31_artificial_witness())
     assert numeric_step_check(step, n=1, trials=50, seed=1, family="phases") <= 1e-9
