@@ -25,7 +25,7 @@ from .complexity import (
     tensor_criterion,
     verify_witness,
 )
-from .covering import AffineCover, AffineSubspace, enumerate_hyperplanes, min_cover_excluding, verify_cover
+from .covering import AffineCover, AffineSubspace, min_cover_excluding, verify_cover
 from .field import Prime, completing_transform, in_affine_span, in_span, rref
 from .phi_km import (
     counterexample_family,

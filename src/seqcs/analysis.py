@@ -33,7 +33,7 @@ from .systems import InputValidationError, LinearSystem, is_integer
 log = logging.getLogger(__name__)
 
 DEFAULT_POINT_GUARD = 10**8
-DEFAULT_UK_CAP = 8
+UK_CAP = 8
 _CHUNK = 1 << 18
 _BATCH_BUDGET = 1 << 18
 _CACHE_BYTE_CAP = 256 << 20
@@ -388,12 +388,7 @@ def _u_power_batch(
     return acc / size
 
 
-def gowers_norm(
-    f: FunctionTable,
-    k: int,
-    point_guard: int = DEFAULT_POINT_GUARD,
-    k_cap: int = DEFAULT_UK_CAP,
-) -> float:
+def gowers_norm(f: FunctionTable, k: int, point_guard: int = DEFAULT_POINT_GUARD) -> float:
     """U^k norm (k >= 2) via the multiplicative-derivative recursion.
 
     The 2^k-power average is real and nonnegative in exact arithmetic;
@@ -403,8 +398,8 @@ def gowers_norm(
         raise ValueError("uniformity norm defined here for k >= 2")
     if f.n < 1:
         raise ValueError(f"n must be >= 1, got {f.n}")
-    if k > k_cap:
-        raise EnumerationGuardExceeded(f"k={k} above cap {k_cap}")
+    if k > UK_CAP:
+        raise EnumerationGuardExceeded(f"k={k} above cap {UK_CAP}")
     if f.size > point_guard:
         raise EnumerationGuardExceeded("group too large for norm enumeration")
     shift = shift_matrix(f.p, f.n)
@@ -535,6 +530,8 @@ def gvn_check(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     exponent = 2.0 ** (1 - ell)
     evaluator = get_evaluator(system, n, point_guard)
     fixed = tables is not None

@@ -215,18 +215,15 @@ def cmd_gvn(args) -> int:
     system = systems.load_system(args.system)
     if args.at_origin:
         origin = (1,) + (0,) * (system.d - 1)
-        try:
-            i = system.forms.index(origin)
-        except ValueError:
-            print("no form equals (1, 0, ..., 0); cannot use --at-origin", file=sys.stderr)
-            return 2
+        if origin not in system.forms:
+            raise systems.InputValidationError(["no form equals (1, 0, ..., 0); cannot use --at-origin"])
+        i = system.forms.index(origin)
     else:
         i = _checked_at(args.at, system)
     tables = None
     if args.family == "counterexample":
         if args.phi_k is None or args.phi_m is None:
-            print("--family counterexample needs --phi-k and --phi-M", file=sys.stderr)
-            return 2
+            raise systems.InputValidationError(["--family counterexample needs --phi-k and --phi-M"])
         w = tuple(int(x) for x in args.w.split(",")) if args.w else None
         tables = phi_km.counterexample_family(int(system.p), args.phi_k, args.phi_m, w, args.ell_family)
     report_obj = analysis.gvn_check(
@@ -298,8 +295,7 @@ def cmd_cover(args) -> int:
         )
     if args.phikm_origin:
         if args.p is None or args.k is None or args.M is None:
-            print("--phikm-origin needs --p, --k, --M", file=sys.stderr)
-            return 2
+            raise systems.InputValidationError(["--phikm-origin needs --p, --k, --M"])
         desc = phi_km.PhiDescriptor.make(args.p, args.k, args.M)
         p, m = desc.p, desc.M
         origin = (0,) * m
@@ -309,15 +305,10 @@ def cmd_cover(args) -> int:
         with open(args.points, "r", encoding="utf-8") as fh:
             p, m, points, excluded = covering.point_set_from_json(json.load(fh))
     else:
-        print("give a point-set file or --phikm-origin", file=sys.stderr)
-        return 2
-    try:
-        result = covering.min_cover_excluding(
-            p, m, points, excluded, mode=args.mode, max_count=args.max_count, node_guard=args.node_guard
-        )
-    except SearchGuardExceeded as exc:
-        print(f"search guard exceeded: {exc}", file=sys.stderr)
-        return 2
+        raise systems.InputValidationError(["give a point-set file or --phikm-origin"])
+    result = covering.min_cover_excluding(
+        p, m, points, excluded, mode=args.mode, max_count=args.max_count, node_guard=args.node_guard
+    )
     report = {"config": _config(args)}
     if result is None:
         report["feasible"] = False

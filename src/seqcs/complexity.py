@@ -22,6 +22,8 @@ from .covering import SearchGuardExceeded, closure_pool, exact_set_cover
 from .field import SpanBasis, rank, span_basis, vec
 from .systems import InputValidationError, LinearSystem, is_integer
 
+TENSOR_ENTRY_GUARD = 10**7
+
 
 @dataclass(frozen=True)
 class CoverCertificate:
@@ -284,9 +286,7 @@ class TensorCriterionResult:
         return {"value": self.value, "reason": self.reason, "ranks": [list(kv) for kv in self.ranks]}
 
 
-def tensor_criterion(
-    system: LinearSystem, k_max: int, entry_guard: int = 10**7
-) -> TensorCriterionResult:
+def tensor_criterion(system: LinearSystem, k_max: int) -> TensorCriterionResult:
     """Least k <= k_max making the (k+1)-fold tensor powers of the forms
     linearly independent; duplicates or zero forms can never become independent.
 
@@ -304,7 +304,7 @@ def tensor_criterion(
         return TensorCriterionResult(None, "never independent (zero form)", ())
     ranks: list[tuple[int, int]] = []
     for k in range(k_max + 1):
-        if system.r * system.d ** (k + 1) > entry_guard:
+        if system.r * system.d ** (k + 1) > TENSOR_ENTRY_GUARD:
             raise SearchGuardExceeded(f"tensor powers at k={k} exceed the entry budget")
         monomials = list(combinations_with_replacement(range(system.d), k + 1))
         rows = [tuple(prod(f[j] for j in alpha) % system.p for alpha in monomials) for f in forms]

@@ -2,6 +2,10 @@
 
 Candidate pools are finite and complete: either all affine hyperplanes that
 miss the excluded points, or the affine spans of subsets of the target set.
+Both pools are sets of point indices, and only the parts a cover picks are
+built as `AffineSubspace`s; membership by reduction (`contains`) is left to
+the independent checker `verify_cover`.  A hyperplane is normal·x = c, so its
+members come from one dot product per point and canonical normal.
 The spans come from `closure_pool`, the one closure-lattice walk of the
 package: it enumerates every distinct span without walking all subsets.  It
 takes one ground set of vectors and the indices of the excluded ones, and
@@ -116,20 +120,6 @@ def hyperplane_normals(p: int, M: int):
         piv = next((j for j, c in enumerate(v) if c), None)
         if piv is not None and v[piv] == 1:
             yield v
-
-
-def enumerate_hyperplanes(p: int, M: int, excluding=()) -> list[AffineSubspace]:
-    """All affine hyperplanes of F_p^M containing none of the excluded points."""
-    if M < 1:
-        raise ValueError("ambient dimension must be >= 1")
-    excluded = [vec(z, p) for z in excluding]
-    out = []
-    for normal in hyperplane_normals(p, M):
-        for const in range(p):
-            if any(sum(n * z for n, z in zip(normal, pt)) % p == const for pt in excluded):
-                continue
-            out.append(AffineSubspace.from_hyperplane(normal, const, p))
-    return out
 
 
 def exact_set_cover(
@@ -329,9 +319,11 @@ def min_cover_excluding(
 ) -> tuple[int, AffineCover] | None:
     """Exact minimum cover of `points` by affine subspaces missing every excluded point.
 
-    mode "hyperplanes-only" draws candidates from enumerate_hyperplanes;
-    mode "affine-spans" from affine spans of subsets of `points`.  Returns
-    (count, cover) or None when no finite cover exists.
+    mode "hyperplanes-only" draws candidates from the hyperplanes
+    normal·x = c, mode "affine-spans" from affine spans of subsets of
+    `points`.  Candidates stay member sets until the set cover picks them;
+    only the picked ones become subspaces.  Returns (count, cover) or None
+    when no finite cover exists.
     """
     prime = Prime(p)
     pts = [vec(t, prime) for t in points]
@@ -343,13 +335,21 @@ def min_cover_excluding(
         cover = AffineCover(prime, M, (), (), tuple(exc))
         return 0, cover
     if mode == "hyperplanes-only":
-        hyperplanes = enumerate_hyperplanes(prime, M, exc)
-        pairs = ((frozenset(i for i, t in enumerate(pts) if h.contains(t)), h) for h in hyperplanes)
-        planes = sorted((pair for pair in pairs if pair[0]), key=lambda pair: sorted(pair[0]))
-        member_sets = [members for members, _ in planes]
+        if M < 1:
+            raise ValueError("ambient dimension must be >= 1")
+        # normal·x = c is a candidate when some point and no excluded point has the value c
+        planes: list[tuple[frozenset[int], Vector, int]] = []
+        for normal in hyperplane_normals(prime, M):
+            values = [sum(n * x for n, x in zip(normal, t)) % prime for t in pts]
+            missed = set(values).difference(sum(n * x for n, x in zip(normal, a)) % prime for a in exc)
+            for const in sorted(missed):
+                planes.append((frozenset(i for i, v in enumerate(values) if v == const), normal, const))
+        planes.sort(key=lambda plane: sorted(plane[0]))
+        member_sets = [members for members, _, _ in planes]
 
         def subspace(ci: int) -> AffineSubspace:
-            return planes[ci][1]
+            _, normal, const = planes[ci]
+            return AffineSubspace.from_hyperplane(normal, const, prime)
     elif mode == "affine-spans":
         # affine spans are linear spans of the points lifted to (1, s)
         lifted = [(1,) + t for t in pts + exc]

@@ -257,6 +257,8 @@ def numeric_step_check(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     r = step.input_system.r
     in_eval = get_evaluator(step.transformed_system, n, point_guard)
     out_eval = get_evaluator(step.output_system, n, point_guard)

@@ -592,7 +592,10 @@ def test_reduce_marks_an_unbound_witness(files, capsys, tmp_path):
     (["reduce", "--n", "0"], "n must be >= 1, got 0"),
     (["reduce", "--trials", "0"], "trials must be >= 1, got 0"),
     (["witness", "--k", "-1"], "k must be >= 0, got -1"),
-], ids=["gvn-n-0", "gvn-n-neg", "gvn-trials-neg", "gvn-trials-0", "reduce-n-0", "reduce-trials-0", "witness-k-neg"])
+    (["gvn", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["reduce", "--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["gvn-n-0", "gvn-n-neg", "gvn-trials-neg", "gvn-trials-0", "reduce-n-0", "reduce-trials-0", "witness-k-neg",
+        "gvn-seed-neg", "reduce-seed-neg"])
 def test_out_of_range_integer_flags_exit_2_by_name(files, capsys, tmp_path, argv, message):
     command, *flags = argv
     base = {
@@ -605,6 +608,24 @@ def test_out_of_range_integer_flags_exit_2_by_name(files, capsys, tmp_path, argv
     captured = capsys.readouterr()
     assert code == 2
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gvn", "--system", "{rem1}", "--at-origin", "--k", "1", "--ell", "1"],
+     "input error: no form equals (1, 0, ..., 0); cannot use --at-origin"),
+    (["gvn", "--system", "{phi31}", "--at", "0", "--k", "1", "--ell", "1", "--family", "counterexample", "--phi-k", "3"],
+     "input error: --family counterexample needs --phi-k and --phi-M"),
+    (["cover", "--phikm-origin", "--p", "3", "--k", "3"], "input error: --phikm-origin needs --p, --k, --M"),
+    (["cover"], "input error: give a point-set file or --phikm-origin"),
+    (["cover", "--phikm-origin", "--p", "3", "--k", "4", "--M", "2", "--hyperplanes-only", "--node-guard", "52"],
+     "error: set-cover search passed 52 nodes"),
+], ids=["gvn-at-origin-missing", "gvn-counterexample-flags", "cover-phikm-flags", "cover-no-input", "cover-guard"])
+def test_command_input_errors_exit_2_through_main(files, capsys, argv, message):
+    code = main([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message + "\n"
 
 
 def test_contract_fuzzer(tmp_path, capsys):

@@ -2,18 +2,34 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from seqcs import covering
 from seqcs.covering import (
     AffineCover,
     AffineSubspace,
     SearchGuardExceeded,
-    enumerate_hyperplanes,
     exact_set_cover,
+    hyperplane_normals,
     min_cover_excluding,
     verify_cover,
 )
+from seqcs.field import vec
 from seqcs.phi_km import s_km_points
+
+
+def enumerate_hyperplanes(p: int, M: int, excluding=()) -> list[AffineSubspace]:
+    """All affine hyperplanes of F_p^M containing none of the excluded points."""
+    if M < 1:
+        raise ValueError("ambient dimension must be >= 1")
+    excluded = [vec(z, p) for z in excluding]
+    out = []
+    for normal in hyperplane_normals(p, M):
+        for const in range(p):
+            if any(sum(n * z for n, z in zip(normal, pt)) % p == const for pt in excluded):
+                continue
+            out.append(AffineSubspace.from_hyperplane(normal, const, p))
+    return out
 
 
 def simplex_minus_origin(p, k, M):
@@ -244,3 +260,59 @@ def test_min_cover_matches_brute_force(instance, mode):
     count, cover = result
     assert count == expected == len(cover.subspaces)
     assert verify_cover(cover)["passed"]
+
+
+def oracle_hyperplane_pool(p, M, points, excluded):
+    """(member set, hyperplane) pairs by `contains`, in the set cover's candidate order."""
+    pairs = ((frozenset(i for i, t in enumerate(points) if h.contains(t)), h)
+             for h in enumerate_hyperplanes(p, M, excluded))
+    return sorted((pair for pair in pairs if pair[0]), key=lambda pair: sorted(pair[0]))
+
+
+@st.composite
+def hyperplane_instances(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    M = draw(st.integers(1, 3))
+    grid = list(product(range(p), repeat=M))
+    chosen = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=min(len(grid), 8), unique=True))
+    n_points = draw(st.integers(1, min(len(chosen), 6)))
+    max_count = draw(st.sampled_from([None, 1, 2]))
+    return p, M, chosen[:n_points], chosen[n_points:], max_count
+
+
+@settings(max_examples=150, deadline=None)
+@given(hyperplane_instances())
+# (2, 2) kills (1,1)·x = 1, the line through (1, 0) and (0, 1); {(1, 0)} is the
+# member set of both (0,1)·x = 0 and (1,2)·x = 1
+@example((3, 2, [(1, 0), (0, 1), (1, 1)], [(2, 2)], None))
+# the origin kills (0,1)·x = 0 though (1, 0) lies on it; (1,0)·x = 1 and
+# (1,1)·x = 1 both hold just (1, 0)
+@example((2, 2, [(1, 0)], [(0, 0)], None))
+def test_hyperplane_pool_matches_the_contains_oracle(instance):
+    p, M, points, excluded, max_count = instance
+    expected = oracle_hyperplane_pool(p, M, points, excluded)
+    seen = []
+
+    def recording_cover(n_elements, candidates, *args):
+        seen.append(list(candidates))
+        return exact_set_cover(n_elements, candidates, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering, "exact_set_cover", recording_cover)
+        result = min_cover_excluding(p, M, points, excluded, mode="hyperplanes-only", max_count=max_count)
+    oracle_sets = [members for members, _ in expected]
+    assert seen == [oracle_sets]
+    picked = exact_set_cover(len(points), oracle_sets, max_count)
+    if picked is None:
+        assert result is None
+        return
+    oracle = AffineCover(p, M, tuple(expected[ci][1] for ci in picked), tuple(points), tuple(excluded))
+    count, cover = result
+    assert count == len(picked)
+    assert cover.to_json() == oracle.to_json()
+    assert verify_cover(cover)["passed"]
+
+
+def test_hyperplane_mode_needs_a_dimension():
+    with pytest.raises(ValueError, match="ambient dimension must be >= 1"):
+        min_cover_excluding(3, 0, [()], [], mode="hyperplanes-only")
