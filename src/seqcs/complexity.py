@@ -6,9 +6,13 @@ covers along an ordered sequence of forms.  Searches are exact: candidate
 parts are the maximal admissible closures (a part can always be grown to the
 full intersection of its span with the allowed forms, so restricting to
 maximal closures loses no covers), and the set-cover step is branch and bound.
-The closures come from `covering.closure_pool` over the system's forms, with
-the prefix excluded by index; the same closure-lattice walk yields the
-affine-span pools of `seqcs.covering` from lifted points.
+The closures are flats of the matroid the forms represent.  `flat_lattice`
+enumerates them once per system with `covering.closure_walk`, nothing
+excluded, and memoises them on the frozen `LinearSystem` as bitmasks with the
+bitmasks of their children; each query, one per form in `complexity_report`
+and one per prefix in `sequential_witness`, is then a bitmask filter
+(`admissible_flats`).  The same walk yields the affine-span pools of
+`seqcs.covering` from lifted points, one walk per query there.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import prod
 
-from .covering import SearchGuardExceeded, closure_pool, exact_set_cover
+from .covering import SearchGuardExceeded, closure_walk, exact_set_cover, mask_indices
 from .field import SpanBasis, rank, span_basis, vec
 from .systems import InputValidationError, LinearSystem, is_integer
 
@@ -107,6 +111,45 @@ class WitnessCertificate:
             return WitnessCertificate.from_json(json.load(fh))
 
 
+def flat_lattice(system: LinearSystem, node_guard: int = 10**8):
+    """Every flat of the system's forms as (indices, mask, child masks), sorted by indices.
+
+    The nodes of one `closure_walk` of the forms with nothing excluded: each
+    flat's index set, ascending, the same set as an int bitmask, and the
+    bitmasks of its children.  Memoised on the instance, which is frozen, as
+    `LinearSystem.digest` is.  A memo of more flats than `node_guard` is
+    walked again, so the guard trips, with the same message, whether or not
+    the lattice is already known.
+    """
+    flats = system._flats
+    if flats is None or len(flats) > node_guard:
+        nodes = closure_walk(system.forms, (), system.p, system.d, node_guard)
+        flats = tuple(sorted((mask_indices(cl), cl, tuple(kids)) for cl, kids in nodes))
+        object.__setattr__(system, "_flats", flats)
+    return flats
+
+
+def admissible_flats(system: LinearSystem, excluded, node_guard: int = 10**8):
+    """Maximal flats of the forms that miss every excluded form, sorted by content.
+
+    `excluded` holds form indices.  One bitmask filter over `flat_lattice`:
+    a flat F is kept when it misses the excluded set E and each of its
+    children meets E.  A flat misses E exactly when its span holds no
+    excluded form, and it is maximal among those exactly when no child
+    misses E, so this is `closure_pool(system.forms, excluded, ...)` without
+    a walk per query.  Returns None when an excluded form is zero, hence
+    inside every span.
+    """
+    if any(not any(x % system.p for x in system.forms[t]) for t in excluded):
+        return None
+    banned = sum(1 << t for t in set(excluded))
+    return [
+        flat
+        for flat, mask, kids in flat_lattice(system, node_guard)
+        if not mask & banned and all(kid & banned for kid in kids)
+    ]
+
+
 def admissible_cover(
     system: LinearSystem,
     to_cover,
@@ -119,7 +162,8 @@ def admissible_cover(
     Exact: None is returned only when no such cover exists.  Deterministic:
     the lexicographically least minimum-size cover under the sorted part order.
     With max_parts None the size is unbounded and the certificate's k is the
-    least one the cover proves, max(parts - 1, 0).
+    least one the cover proves, max(parts - 1, 0).  The parts are drawn from
+    `admissible_flats`.
     """
     targets = tuple(excluded)
     goal = tuple(dict.fromkeys(to_cover))
@@ -127,7 +171,7 @@ def admissible_cover(
         raise ValueError("to_cover and excluded overlap")
     if not goal:
         return CoverCertificate(targets, (), 0 if max_parts is None else max(max_parts - 1, -1))
-    pool = closure_pool(system.forms, targets, system.p, system.d, node_guard)
+    pool = admissible_flats(system, targets, node_guard)
     if pool is None:
         return None
     position = {j: pos for pos, j in enumerate(goal)}
@@ -135,7 +179,7 @@ def admissible_cover(
     picked = exact_set_cover(len(goal), restricted, max_parts, node_guard)
     if picked is None:
         return None
-    parts = tuple(tuple(sorted(pool[ci])) for ci in picked)
+    parts = tuple(pool[ci] for ci in picked)
     return CoverCertificate(targets, parts, max(len(parts) - 1, 0) if max_parts is None else max_parts - 1)
 
 

@@ -6,14 +6,17 @@ Both pools are sets of point indices, and only the parts a cover picks are
 built as `AffineSubspace`s; membership by reduction (`contains`) is left to
 the independent checker `verify_cover`.  A hyperplane is normal·x = c, so its
 members come from one dot product per point and canonical normal.
-The spans come from `closure_pool`, the one closure-lattice walk of the
+The spans come from `closure_walk`, the one closure-lattice walk of the
 package: it enumerates every distinct span without walking all subsets.  It
 takes one ground set of vectors and the indices of the excluded ones, and
-serves both linear spans (the parts of `seqcs.complexity`, over a system's
-forms with a prefix excluded) and affine spans, which are linear spans of the
-points lifted to (1, s): `min_cover_excluding` lifts the points and the
-excluded points together, the excluded ones as the tail.  The walk reduces
-each vector outside a node's closure once and groups the vectors by
+lists each node with its children as int bitmasks of indices.
+`closure_pool` keeps its childless nodes, the maximal admissible closures;
+it serves affine spans, which are linear spans of the points lifted to
+(1, s): `min_cover_excluding` lifts the points and the excluded points
+together, the excluded ones as the tail, and makes one query per cover.
+`seqcs.complexity` walks a system's forms once with nothing excluded, which
+gives every flat, and filters that lattice for each excluded prefix.  The walk
+reduces each vector outside a node's closure once and groups the vectors by
 `residual_key`: one group is one child span, and a group that holds an
 excluded index is inadmissible.  Zero vectors lie in every span, so the walk
 seeds them into every closure.  Minimum covers are exact: one
@@ -207,15 +210,28 @@ def residual_key(basis: SpanBasis, v) -> Vector:
     return tuple(x * inv % basis.p for x in res)
 
 
-def closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
-    """Maximal admissible closures of `vectors`, as index sets sorted by content.
+def mask_indices(mask: int) -> tuple[int, ...]:
+    """The set bits of `mask`, ascending: an index set stored as an int bitmask."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def lowest(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero bitmask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def closure_walk(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
+    """Every node of the closure-lattice walk, in visit order, as (closure, children).
 
     `excluded` is a set of indices into `vectors`.  The closure of a span is
-    the set of indices whose vector lies in it; the span is admissible when
-    it holds no excluded vector, so no returned closure holds an excluded
-    index.  Closure-lattice walk: every span of a subset shows up as the
-    closure of some chain of single-vector extensions, so the pool is
-    complete while only distinct closures are visited.
+    the set of indices whose vector lies in it, held as an int bitmask; the
+    span is admissible when it holds no excluded vector.  The walk visits
+    each admissible closure once and lists its admissible children (the
+    closures one vector larger), also as bitmasks.  Every span of a subset
+    shows up as the closure of some chain of single-vector extensions, so
+    the walk reaches every admissible closure while visiting only distinct
+    ones; with nothing excluded its nodes are all the flats of the matroid
+    that the vectors represent.
 
     A node is a closure cl with the basis B of its span.  Its children are the
     spans of B ∪ {v} for v outside cl, and they are found with one reduction
@@ -225,53 +241,67 @@ def closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
     their first index, and a child's basis is built only when its closure is
     new.  Zero vectors lie in every span, so every closure holds them; the
     seeds are the children of the empty basis, with the zero-only closure
-    placed at its first zero index.
+    placed at its first zero index.  The empty closure is never a node.
 
     Entries may be any integers: they are reduced mod p once, here.  Returns
     None when an excluded vector is zero, hence inside every span.  Raises
     SearchGuardExceeded past `node_guard` visits.
     """
     vectors = [vec(v, p) for v in vectors]
-    excluded = frozenset(excluded)
-    if any(not any(vectors[t]) for t in excluded):
-        return None
+    banned = 0
+    for t in excluded:
+        if not any(vectors[t]):
+            return None
+        banned |= 1 << t
 
-    def children(basis: SpanBasis, cl: frozenset[int]) -> list[tuple[frozenset[int], int]]:
+    def children(basis: SpanBasis, cl: int) -> list[tuple[int, int]]:
         """(closure, first index) of each admissible child, in order of first index."""
-        groups: dict[Vector, list[int]] = {}
+        groups: dict[Vector, int] = {}
         for j, v in enumerate(vectors):
-            if j not in cl:
-                groups.setdefault(residual_key(basis, v), []).append(j)
-        return [(cl.union(js), js[0]) for js in groups.values() if excluded.isdisjoint(js)]
+            if not cl >> j & 1:
+                key = residual_key(basis, v)
+                groups[key] = groups.get(key, 0) | 1 << j
+        return [(cl | g, lowest(g)) for g in groups.values() if not g & banned]
 
-    seen: dict[frozenset[int], SpanBasis] = {}
-    queue: list[frozenset[int]] = []
+    seen: dict[int, SpanBasis] = {}
+    queue: list[int] = []
 
-    def push(basis: SpanBasis, kids: list[tuple[frozenset[int], int]]) -> None:
+    def push(basis: SpanBasis, kids: list[tuple[int, int]]) -> None:
         for ncl, j in kids:
             if ncl not in seen:
                 seen[ncl] = basis.extended(vectors[j])
                 queue.append(ncl)
 
     root = SpanBasis(p, dim)
-    zeros = frozenset(j for j, v in enumerate(vectors) if not any(v))
-    seeds = children(root, zeros) + ([(zeros, min(zeros))] if zeros else [])
+    zeros = sum(1 << j for j, v in enumerate(vectors) if not any(v))
+    seeds = children(root, zeros) + ([(zeros, lowest(zeros))] if zeros else [])
     push(root, sorted(seeds, key=lambda kid: kid[1]))
-    maximal: list[frozenset[int]] = []
-    visited = 0
+    nodes: list[tuple[int, list[int]]] = []
     while queue:
         cl = queue.pop()
-        visited += 1
-        if visited > node_guard:
+        if len(nodes) >= node_guard:
             raise SearchGuardExceeded(
                 f"closure-lattice walk passed {node_guard} nodes ({len(seen)} closures found)"
             )
         basis = seen[cl]
         kids = children(basis, cl)
         push(basis, kids)
-        if not kids:
-            maximal.append(cl)
-    return sorted(maximal, key=sorted)
+        nodes.append((cl, [ncl for ncl, _ in kids]))
+    return nodes
+
+
+def closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
+    """Maximal admissible closures of `vectors`, as index sets sorted by content.
+
+    The childless nodes of `closure_walk(vectors, excluded, ...)`: `excluded`
+    is a set of indices into `vectors`, and no returned closure holds one.
+    Returns None when an excluded vector is zero; raises SearchGuardExceeded
+    past `node_guard` visits.
+    """
+    nodes = closure_walk(vectors, excluded, p, dim, node_guard)
+    if nodes is None:
+        return None
+    return [frozenset(c) for c in sorted(mask_indices(cl) for cl, kids in nodes if not kids)]
 
 
 def point_set_from_json(raw) -> tuple[Prime, int, list[Vector], list[Vector]]:

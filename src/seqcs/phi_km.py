@@ -23,6 +23,8 @@ from .covering import AffineSubspace
 from .field import Prime
 from .systems import LinearSystem
 
+SIMPLEX_ENTRY_GUARD = 10**6
+
 
 @dataclass(frozen=True)
 class PhiDescriptor:
@@ -39,12 +41,42 @@ class PhiDescriptor:
 
     @property
     def size(self) -> int:
-        return len(s_km_points(self.p, self.k, self.M))
+        return sum(1 for _ in _simplex(self.p, self.k, self.M))
+
+
+def _simplex(p: int, k: int, M: int):
+    """Points z in [0,p-1]^M with z_1+...+z_M < k (sum in Z), lexicographic.
+
+    Depth first: the next point raises the last coordinate that can still
+    grow with the digit sum below k and zeroes the ones after it, so no tuple
+    outside the simplex is made.  Raises ValueError, naming M, before the
+    points would hold more than SIMPLEX_ENTRY_GUARD coordinates.
+    """
+    if k < 1:
+        return
+    fits = SIMPLEX_ENTRY_GUARD // max(M, 1)  # points that stay within the guard
+    z, total = [0] * M if fits else [], 0
+    for _ in range(fits):
+        yield tuple(z)
+        j = M - 1
+        while j >= 0 and (z[j] == p - 1 or total + 1 >= k):
+            total -= z[j]
+            z[j] = 0
+            j -= 1
+        if j < 0:
+            return
+        z[j] += 1
+        total += 1
+    raise ValueError(f"M={M}: the simplex for p={p}, k={k} holds more than {SIMPLEX_ENTRY_GUARD} coordinates")
 
 
 def s_km_points(p: int, k: int, M: int) -> list[tuple[int, ...]]:
-    """Points z in [0,p-1]^M with z_1+...+z_M < k (sum in Z), lexicographic."""
-    return [z for z in product(range(p), repeat=M) if sum(z) < k]
+    """Points z in [0,p-1]^M with z_1+...+z_M < k (sum in Z), lexicographic.
+
+    Raises ValueError when they would hold more than SIMPLEX_ENTRY_GUARD
+    coordinates.
+    """
+    return list(_simplex(p, k, M))
 
 
 def phi_system(p: int, k: int, M: int) -> LinearSystem:

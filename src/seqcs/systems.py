@@ -48,6 +48,8 @@ class LinearSystem:
     forms: tuple[Vector, ...]
     labels: tuple[str, ...] | None = None
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
+    # the flats of the forms, memoised by `complexity.flat_lattice`
+    _flats: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def r(self) -> int:

@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -242,6 +244,12 @@ GOLDEN_ANALYZE = {
     "phi562": "b064f98892993ac8abd55d4867f3d764d8cc8d23e004d530fc843ab79572d8c6",
     "rem1": "dced1db0e45e699983f13dbde1a3a1f9895a97d3f35e1bc741b9d41314d19259",
 }
+# `witness --k 1 --max-len 2` reports (without config) and exit codes, taken
+# while every prefix query still walked its own closure lattice.
+GOLDEN_WITNESS = {
+    "phi562": (1, "f9faecf01aed47883a5db79d7a1da37f8cf09cf3ebba01e2838e5b0ae00fab05"),
+    "rem1": (0, "24f251585ce8f6d4e35a8980523cbd3daee0c9d03242c72bc408a63272bed549"),
+}
 
 
 @pytest.mark.parametrize("p, k, M, planes", sorted(GOLDEN_COVERS))
@@ -258,6 +266,28 @@ def test_analyze_report_bytes_are_pinned(files, capsys, name):
     assert code == 0
     body = {key: val for key, val in report.items() if key != "config"}
     assert hashlib.sha256(json.dumps(body, indent=1).encode()).hexdigest() == GOLDEN_ANALYZE[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WITNESS))
+def test_witness_report_bytes_are_pinned(files, capsys, name):
+    code, report = run(capsys, "witness", files[name], "--k", "1", "--max-len", "2")
+    body = {key: val for key, val in report.items() if key != "config"}
+    assert (code, hashlib.sha256(json.dumps(body, indent=1).encode()).hexdigest()) == GOLDEN_WITNESS[name]
+
+
+# `--node-guard` bounds one closure-lattice walk per system, which visits each
+# flat once: 50 flats for phi(5,6,2), 18 for the F_7 remark system.  At guard
+# N-1 `analyze` trips in the walk too, before its first set cover.
+@pytest.mark.parametrize("name, flats", [("phi562", 50), ("rem1", 18)])
+def test_node_guard_counts_the_flats_of_one_lattice(files, capsys, name, flats):
+    witness = ["witness", files[name], "--k", "1", "--max-len", "1", "--at", "5", "--node-guard"]
+    assert main(witness + [str(flats)]) == 1
+    assert capsys.readouterr().err == ""
+    for argv in (witness, ["analyze", files[name], "--node-guard"]):
+        assert main(argv + [str(flats - 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: closure-lattice walk passed {flats - 1} nodes (")
 
 
 def test_reduce_with_numeric_check(files, capsys, tmp_path):
@@ -632,8 +662,9 @@ def test_contract_fuzzer(tmp_path, capsys):
     """Every subcommand, with each integer option at -1, 0 and 1 and each input
     file empty, truncated, `[]` or `3`, exits 0, 1 or 2 without a traceback.
 
-    The valid inputs are tiny and made from phi(3,3,1); values so large that
-    only a size guard could stop them are left out."""
+    The valid inputs are tiny and made from phi(3,3,1).  Each command that
+    takes `--M` is also run at `--M 1000000`, where only a size guard can stop
+    it: it must exit 2 without a traceback within one second."""
     texts = {
         "system": json.dumps(phi_system(3, 3, 1).to_json()),
         "certificate": json.dumps(phi_witness_certificate(3, 3, 1).to_json()),
@@ -671,15 +702,29 @@ def test_contract_fuzzer(tmp_path, capsys):
         cases += [base + [option, str(value)] for option in options for value in (-1, 0, 1)]
         for at, arg in enumerate(base):
             cases += [base[:at] + [bad] + base[at + 1:] for bad in broken.get(arg, ())]
+    huge = [base + ["--M", "1000000"] for base in bases if "--M" in base]
+    assert len(huge) == 2
+
+    def overdue(signum, frame):
+        raise TimeoutError("no exit within one second")
+
     failures = []
-    for argv in cases:
+    for argv in cases + huge:
+        limit = 1.0 if argv in huge else 0.0  # 0 sets no alarm
+        previous = signal.signal(signal.SIGALRM, overdue)
+        signal.setitimer(signal.ITIMER_REAL, limit)
+        started = time.perf_counter()
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own usage errors
             code = exc.code
         except Exception as exc:  # any exception escaping main breaks the contract
             code = repr(exc)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        elapsed = time.perf_counter() - started
         err = capsys.readouterr().err
-        if code not in (0, 1, 2) or "Traceback" in err:
+        if code not in (0, 1, 2) or "Traceback" in err or (argv in huge and (code != 2 or elapsed >= limit)):
             failures.append((argv, code, err[-200:]))
     assert not failures

@@ -4,6 +4,8 @@ Brute force only needs subsets of at most dim vectors: every linear span of a
 nonempty set is the span of at most dim of its members, and every affine span
 of a nonempty point set in F_p^M is the affine span of at most M+1 of them.
 Membership is decided by the exhaustive coefficient oracles of test_field.
+The pools that `admissible_cover` filters from a system's memoised lattice of
+flats are checked against `closure_pool`, one walk per query.
 The walk's visit order is checked against `reference_closure_pool`, the walk
 as it was before children were grouped by residual key, when excluded vectors
 were a second list; the walk gets them as the tail of its ground set.
@@ -14,10 +16,11 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from seqcs.complexity import admissible_cover, admissible_flats, flat_lattice
 from seqcs.covering import AffineSubspace, SearchGuardExceeded, closure_pool, residual_key
 from seqcs.field import SpanBasis, completing_transform, mat_inverse, mat_mul, rank, span_basis
 from seqcs.phi_km import phi_system, s_km_points
-from seqcs.systems import LinearSystem
+from seqcs.systems import LinearSystem, validate
 
 from test_field import affine_oracle, span_oracle
 
@@ -216,9 +219,10 @@ def walk_outcome(walk, args, guard):
 
 
 @st.composite
-def walk_instances(draw):
-    """Vectors and excluded vectors with many dependencies: zero vectors,
-    duplicates and combinations of a small palette."""
+def dependent_vectors(draw):
+    """Vectors with many dependencies: zero vectors, duplicates and combinations
+    of a small palette.  Returns (vectors, more, p, d), where `more` draws
+    further vectors of the same kind."""
     p = draw(st.sampled_from([3, 5, 7]))
     d = draw(st.integers(1, 4))
     vector = st.tuples(*[st.integers(0, p - 1)] * d)
@@ -233,8 +237,80 @@ def walk_instances(draw):
     copies = draw(st.lists(st.sampled_from(body), max_size=8 - len(body)))
     vectors = body + zeros + copies
     order = draw(st.permutations(range(len(vectors))))
-    excluded = draw(st.lists(st.one_of(combo, vector), max_size=2))
-    return [vectors[i] for i in order], excluded, p, d
+    return [vectors[i] for i in order], st.one_of(combo, vector), p, d
+
+
+@st.composite
+def walk_instances(draw):
+    """Vectors and excluded vectors from `dependent_vectors`."""
+    vectors, more, p, d = draw(dependent_vectors())
+    excluded = draw(st.lists(more, max_size=2))
+    return vectors, excluded, p, d
+
+
+@st.composite
+def lattice_instances(draw):
+    """A system of dependent vectors and several sets of 0 to 3 excluded indices."""
+    vectors, _, p, d = draw(dependent_vectors())
+    index_sets = st.lists(st.integers(0, len(vectors) - 1), max_size=3, unique=True)
+    return LinearSystem(p, tuple(vectors)), draw(st.lists(index_sets, min_size=1, max_size=4))
+
+
+def lattice_pool(system: LinearSystem, excluded):
+    """`admissible_flats` as index sets, the way `closure_pool` returns them."""
+    flats = admissible_flats(system, excluded)
+    return None if flats is None else [frozenset(flat) for flat in flats]
+
+
+@settings(max_examples=150)
+@given(lattice_instances())
+def test_lattice_pool_matches_closure_pool(instance):
+    """Every query on one system (its lattice memoised after the first) gives
+    the pool of a walk that excludes the query's indices."""
+    system, queries = instance
+    for excluded in queries:
+        assert lattice_pool(system, excluded) == linear_pool(system, excluded, 10**6)
+
+
+@pytest.mark.parametrize("vectors, excluded, pool", [
+    # an excluded zero form lies in every span: no part at all
+    ([(1, 0), (0, 0)], {1}, None),
+    # every form parallel to the excluded one and no zero form: no flat misses it,
+    # and the empty closure is not a part
+    ([(1, 2), (2, 1), (1, 2)], {0}, []),
+    # the zero-only closure is maximal when every child meets the excluded set
+    ([(0, 0), (1, 2), (2, 1)], {1}, [{0}]),
+    ([(0, 0), (1, 0), (0, 1), (1, 1)], {1, 2, 3}, [{0}]),
+], ids=["zero-excluded", "all-parallel", "zero-only-maximal", "zero-only-maximal-plane"])
+def test_lattice_pool_edge_cases(vectors, excluded, pool):
+    expected = None if pool is None else [frozenset(c) for c in pool]
+    system = LinearSystem(3, tuple(vectors))
+    assert lattice_pool(system, excluded) == expected == closure_pool(vectors, excluded, 3, 2)
+
+
+REMARK_F7 = {"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 3], [1, 2, 3], [1, 3, 3]]}
+
+
+def cover_outcome(system: LinearSystem, guard: int):
+    """The cover of the forms after form 5 is excluded, or the guard message."""
+    try:
+        return admissible_cover(system, range(5), (5,), 3, guard)
+    except SearchGuardExceeded as exc:
+        return str(exc)
+
+
+# One lattice walk per system visits each flat once: 50 flats for phi(5,6,2)
+# and 18 for the F_7 remark system.  A memoised lattice trips the guard alike.
+@pytest.mark.parametrize("make, flats", [(lambda: phi_system(5, 6, 2), 50), (lambda: validate(REMARK_F7), 18)],
+                         ids=["phi562", "rem1"])
+def test_lattice_guard_counts_flats_memoised_or_not(make, flats):
+    system = make()
+    assert len(flat_lattice(system)) == flats
+    for guard in (flats - 1, flats, 10**8):
+        fresh = LinearSystem(system.p, system.forms)
+        assert cover_outcome(fresh, guard) == cover_outcome(system, guard)
+    assert cover_outcome(system, flats - 1).startswith(f"closure-lattice walk passed {flats - 1} nodes")
+    assert "closure-lattice" not in str(cover_outcome(system, flats))
 
 
 @settings(max_examples=150)

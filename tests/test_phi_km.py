@@ -51,6 +51,21 @@ def test_s_km_size_recurrence():
                 assert len(s_km_points(p, k, M)) == s_km_size_recurrence(p, k, M)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_s_km_points_match_the_product_filter(p):
+    for M in range(5):
+        for k in range(-1, M * (p - 1) + 3):
+            assert s_km_points(p, k, M) == [z for z in product(range(p), repeat=M) if sum(z) < k]
+
+
+@pytest.mark.parametrize("p, k, M", [(3, 3, 10**6), (2, 3, 10**9), (3, 10**6, 40)])
+def test_s_km_points_refuse_a_huge_simplex(p, k, M):
+    with pytest.raises(ValueError, match=f"^M={M}: "):
+        s_km_points(p, k, M)
+    with pytest.raises(ValueError, match=f"^M={M}: "):
+        PhiDescriptor.make(p, k, M).size
+
+
 def test_descriptor_clamps():
     desc = PhiDescriptor.make(3, 99, 2)
     assert desc.k == 5
