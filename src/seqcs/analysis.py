@@ -9,8 +9,14 @@ numpy's unravel_index/ravel_multi_index): it is the independent oracle for
 the U^k recursion, so it must not share the encoding it checks.  It takes
 blocks of shift tuples at a time and still sums every one of the 2^k corners.
 Averages enumerate every assignment; there is no sampling and no Fourier
-shortcut.  Sums use numpy's fixed-order pairwise reduction per chunk and an
-exact compensated sum of the chunk totals, so results are bit-stable.
+shortcut.  A form's action (the index of its value at every assignment) is
+gathered from tables on F_p^b, for digit groups of b coordinates with
+p^(2b) <= _TABLE_BUDGET: ADD = shift_matrix(p, b), the cached table the U^k
+recursion uses too, and MUL[c] (x ↦ c·x); no digit of an assignment is
+decoded.  Sums use numpy's pairwise reduction per chunk of _CHUNK
+assignments and an exact compensated sum of the chunk totals.  Results are
+bit-stable at that fixed chunk size, cached or not; another chunk size
+moves the pairwise rounding and can change the last bits.
 
 The U^k recursion derives along one shift h of each pair {h, −h} and counts
 it twice when h ≠ −h: Δ_{−h}f(x) = conj(Δ_h f(x − h)), and every U^j power
@@ -36,6 +42,7 @@ DEFAULT_POINT_GUARD = 10**8
 UK_CAP = 8
 _CHUNK = 1 << 18
 _BATCH_BUDGET = 1 << 18
+_TABLE_BUDGET = 1 << 18
 _CACHE_BYTE_CAP = 256 << 20
 
 
@@ -179,6 +186,12 @@ def tensor_product_table(f: FunctionTable, ell: int) -> FunctionTable:
     """ell-fold product function on F_p^{ell·n}: (y_1,..,y_ell) ↦ Π f(y_j)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
+    # p^(n·ell) >= 2^(n·ell), so a large ell is refused without computing the power
+    if f.n * ell >= DEFAULT_POINT_GUARD.bit_length() or f.size**ell > DEFAULT_POINT_GUARD:
+        raise EnumerationGuardExceeded(
+            f"ell = {ell}: the product table would have p^(n·ell) = {f.p}^{f.n * ell} entries,"
+            f" above the guard {DEFAULT_POINT_GUARD}"
+        )
     vals = f.values
     for _ in range(ell - 1):
         vals = np.kron(f.values, vals)
@@ -207,27 +220,6 @@ def random_one_bounded(p: int, n: int, seed, family: str = "phases") -> Function
 # form averages
 
 
-class _FormCoordinates:
-    """A form's n coordinates over decoded assignments, each built when encode_point indexes it."""
-
-    def __init__(self, form, digits: list[np.ndarray], n: int):
-        self.form, self.digits, self.n = form, digits, n
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, t: int) -> np.ndarray:
-        coord = None
-        for j, c in enumerate(self.form):
-            if c:
-                term = self.digits[j * self.n + t]
-                if coord is None:
-                    coord = c * term  # a new array, so += below never writes into digits
-                else:
-                    coord += term if c == 1 else c * term
-        return np.zeros_like(self.digits[t]) if coord is None else coord
-
-
 class LambdaEvaluator:
     """Average of Π f_i(ψ_i(x)) over all assignments, with precomputed form actions.
 
@@ -239,25 +231,57 @@ class LambdaEvaluator:
     def __init__(self, system: LinearSystem, n: int, point_guard: int = DEFAULT_POINT_GUARD):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        p, d = int(system.p), system.d
+        # p^(n·d) >= 2^(n·d), so a large n is refused without computing p^n
+        if n * d >= point_guard.bit_length() or p ** (n * d) > point_guard:
+            raise EnumerationGuardExceeded(
+                f"(p^n)^d = ({p}^{n})^{d} assignment points exceed the guard {point_guard}"
+            )
         self.system = system
         self.n = n
-        self.group_size = int(system.p) ** n
-        self.total = self.group_size**system.d
-        if self.total > point_guard:
-            raise EnumerationGuardExceeded(
-                f"{self.group_size}^{system.d} assignment points exceed the guard {point_guard}"
-            )
+        self.group_size = p**n
+        self.total = self.group_size**d
         self._cached_actions = None
         if self.total * system.r <= 1 << 23:
             self._cached_actions = self._actions(0, self.total)
 
     def _actions(self, start: int, stop: int) -> list[np.ndarray]:
-        p, d, n = int(self.system.p), self.system.d, self.n
-        # digit j·n + t of an assignment index is coordinate t of variable j
-        digits = digit_matrix(np.arange(start, stop, dtype=np.int64), p, d * n)
-        # encode_point folds each coordinate into the index as it is built, so one
-        # coordinate array is alive at a time, not all n
-        return [encode_point(_FormCoordinates(form, digits, n), p) for form in self.system.forms]
+        """Each form's action on the assignments start, ..., stop - 1, by row gathers.
+
+        The assignment index is read in digit groups of b coordinates (radix
+        Q = p^b, b from _group_width): group g is coordinate block g % B of
+        variable g // B, with B = n / b blocks per variable.  Indices in a
+        run of Q consecutive assignments differ only in the lowest group, so
+        over a run a form with coefficient c there adds c·u, u = 0, ..., Q - 1,
+        to the run's value w in that block: w + c·u = c·(c⁻¹·w + u) is row
+        c⁻¹·w of ADD = shift_matrix(p, b) mapped through MUL[c] (x ↦ c·x),
+        and a zero coefficient repeats w.  The groups are added from the
+        highest down, each on the range [lo // Q, ceil(hi / Q)) of the group
+        above it, with the unaligned edges sliced off.
+        """
+        p, n = int(self.system.p), self.n
+        b = _group_width(p, n)
+        q, blocks = p**b, n // b
+        add = shift_matrix(p, b)
+        digits = digit_matrix(np.arange(q, dtype=np.int64), p, b)
+        nonzero = {c % p for form in self.system.forms for c in form} - {0}
+        mul = {c: encode_point([c * x for x in digits], p) for c in nonzero | {pow(c, -1, p) for c in nonzero}}
+        actions = []
+        for form in self.system.forms:
+            acts = np.zeros(1, dtype=np.int64)  # the one run above the highest group
+            for g in reversed(range(self.system.d * blocks)):
+                c, scale = form[g // blocks] % p, q ** (g % blocks)
+                lo, hi = start // q**g, -(-stop // q**g)
+                w = acts // scale % q
+                if c:
+                    runs = mul[c].take(add[mul[pow(c, -1, p)][w]])
+                else:
+                    runs = np.broadcast_to(w[:, None], (len(w), q))
+                if blocks > 1:  # the run's other blocks pass through
+                    runs = runs * scale + (acts - w * scale)[:, None]
+                acts = runs.ravel()[lo % q : lo % q + hi - lo]
+            actions.append(acts)
+        return actions
 
     def value(self, tables, conjugated=None) -> complex:
         if len(tables) != self.system.r:
@@ -283,6 +307,12 @@ class LambdaEvaluator:
             reals.append(float(s.real))
             imags.append(float(s.imag))
         return complex(math.fsum(reals), math.fsum(imags)) / self.total
+
+
+def _group_width(p: int, n: int) -> int:
+    """Coordinates per digit group: the largest divisor b of n whose p^b × p^b
+    tables fit _TABLE_BUDGET entries, or 1 when none does."""
+    return max(b for b in range(1, n + 1) if n % b == 0 and (b == 1 or p ** (2 * b) <= _TABLE_BUDGET))
 
 
 def _cache_put(cache: dict, key, value, nbytes) -> None:

@@ -4,7 +4,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import seqcs.analysis as analysis
 from seqcs.analysis import (
     EnumerationGuardExceeded,
     FunctionTable,
@@ -23,6 +25,35 @@ from seqcs.analysis import (
 from seqcs.systems import LinearSystem, validate
 
 PHI31 = validate({"p": 5, "forms": [[1, 0], [1, 1], [1, 2]]})
+
+
+class _FormCoordinates:
+    """A form's n coordinates over decoded assignments, each built when encode_point indexes it."""
+
+    def __init__(self, form, digits: list[np.ndarray], n: int):
+        self.form, self.digits, self.n = form, digits, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        coord = None
+        for j, c in enumerate(self.form):
+            if c:
+                term = self.digits[j * self.n + t]
+                if coord is None:
+                    coord = c * term  # a new array, so += below never writes into digits
+                else:
+                    coord += term if c == 1 else c * term
+        return np.zeros_like(self.digits[t]) if coord is None else coord
+
+
+def reference_actions(evaluator, start, stop):
+    """Oracle of LambdaEvaluator._actions: every form's coordinates built digit by digit."""
+    p, d, n = int(evaluator.system.p), evaluator.system.d, evaluator.n
+    # digit j·n + t of an assignment index is coordinate t of variable j
+    digits = digit_matrix(np.arange(start, stop, dtype=np.int64), p, d * n)
+    return [encode_point(_FormCoordinates(form, digits, n), p) for form in evaluator.system.forms]
 
 
 def lambda_oracle(system, tables):
@@ -306,8 +337,9 @@ def test_form_actions_follow_the_digit_formula(monkeypatch):
 
 
 def test_form_actions_hold_one_coordinate_at_a_time():
-    """At n = 8 the peak is the d·n digit arrays, the r actions and a few temporaries;
-    building all n coordinates of a form before encoding them would add n arrays more."""
+    """At n = 8 the peak is the r actions and a few temporaries of one form:
+    the row gathers decode no digit arrays, and the group tables are built
+    with the cached evaluator, before the measured call."""
     system = validate({"p": 2, "forms": [[1, 0], [1, 1]]})
     n = 8
     evaluator = LambdaEvaluator(system, n)
@@ -318,4 +350,61 @@ def test_form_actions_hold_one_coordinate_at_a_time():
     finally:
         tracemalloc.stop()
     array_bytes = 8 * evaluator.total
-    assert peak < (system.d * n + system.r + 6) * array_bytes
+    assert peak < (system.r + 6) * array_bytes
+
+
+@st.composite
+def action_instances(draw):
+    """A system over F_p with zero columns and zero forms, a group F_p^n, a table
+    budget that may force digit groups narrower than n, and an assignment range
+    [start, stop) with unaligned edges."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    forms = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * d), min_size=1, max_size=4))
+    zero_columns = draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+    forms = [tuple(0 if j in zero_columns else c for j, c in enumerate(form)) for form in forms]
+    if draw(st.booleans()):
+        forms.insert(draw(st.integers(0, len(forms))), (0,) * d)
+    budget = draw(st.sampled_from([1, p**2, p**4, p**8, analysis._TABLE_BUDGET]))
+    total = p ** (n * d)
+    start = draw(st.integers(0, total - 1))
+    stop = draw(st.integers(start + 1, min(total, start + 3000)))
+    return LinearSystem(p, tuple(forms)), n, budget, start, stop
+
+
+@settings(max_examples=200)
+@given(action_instances())
+def test_form_actions_match_the_digit_oracle(instance):
+    """Row gathers give the digit-by-digit actions exactly, on every range and group width."""
+    system, n, budget, start, stop = instance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_TABLE_BUDGET", budget)
+        # a guard at the group's size keeps large groups uncached and chunk-built
+        evaluator = LambdaEvaluator(system, n, point_guard=int(system.p) ** (n * system.d))
+        actions = evaluator._actions(start, stop)
+    expected = reference_actions(evaluator, start, stop)
+    for i, want in enumerate(expected):
+        assert actions[i].dtype == np.int64 and np.array_equal(actions[i], want), (i, system.forms[i])
+        if evaluator._cached_actions is not None:
+            assert np.array_equal(evaluator._cached_actions[i][start:stop], want)
+
+
+def test_group_width_is_the_largest_divisor_within_the_budget(monkeypatch):
+    assert [analysis._group_width(5, n) for n in (1, 2, 3, 4)] == [1, 2, 3, 2]
+    assert analysis._group_width(2, 8) == 8 and analysis._group_width(7, 3) == 3
+    monkeypatch.setattr(analysis, "_TABLE_BUDGET", 3**4)
+    assert [analysis._group_width(3, n) for n in (1, 2, 3, 4, 6)] == [1, 2, 1, 2, 2]
+    monkeypatch.setattr(analysis, "_TABLE_BUDGET", 1)
+    assert analysis._group_width(2, 4) == 1  # p × p tables when nothing fits
+
+
+def test_huge_groups_are_refused_without_their_size():
+    """n and ell far beyond the guard are refused by a bit-length bound, naming p^n or ell."""
+    for n in (10**6, 10**9):
+        with pytest.raises(EnumerationGuardExceeded, match=rf"\(5\^{n}\)\^2 assignment points"):
+            LambdaEvaluator(PHI31, n)
+    with pytest.raises(EnumerationGuardExceeded, match=r"ell = 1000000: .* 3\^1000000 entries"):
+        tensor_product_table(FunctionTable.constant(3, 1), 10**6)
+    with pytest.raises(EnumerationGuardExceeded, match=r"ell = 17: .* 3\^17 entries"):
+        tensor_product_table(FunctionTable.constant(3, 1), 17)  # 3^17 > 1e8 > 3^16
+    assert tensor_product_table(FunctionTable.constant(2, 1), 20).size == 2**20

@@ -663,8 +663,9 @@ def test_contract_fuzzer(tmp_path, capsys):
     file empty, truncated, `[]` or `3`, exits 0, 1 or 2 without a traceback.
 
     The valid inputs are tiny and made from phi(3,3,1).  Each command that
-    takes `--M` is also run at `--M 1000000`, where only a size guard can stop
-    it: it must exit 2 without a traceback within one second."""
+    takes `--M` is also run at `--M 1000000`, and `gvn` at `--n 1000000`,
+    `--n 1000000000` and `--ell-family 1000000`, where only a size guard can
+    stop it: it must exit 2 without a traceback within one second."""
     texts = {
         "system": json.dumps(phi_system(3, 3, 1).to_json()),
         "certificate": json.dumps(phi_witness_certificate(3, 3, 1).to_json()),
@@ -704,6 +705,9 @@ def test_contract_fuzzer(tmp_path, capsys):
             cases += [base[:at] + [bad] + base[at + 1:] for bad in broken.get(arg, ())]
     huge = [base + ["--M", "1000000"] for base in bases if "--M" in base]
     assert len(huge) == 2
+    gvn_random, gvn_counterexample = (base for base in bases if base[0] == "gvn")
+    huge += [gvn_random + ["--n", "1000000"], gvn_random + ["--n", "1000000000"],
+             gvn_counterexample + ["--ell-family", "1000000"]]
 
     def overdue(signum, frame):
         raise TimeoutError("no exit within one second")
