@@ -272,9 +272,9 @@ class LambdaEvaluator:
             for g in reversed(range(self.system.d * blocks)):
                 c, scale = form[g // blocks] % p, q ** (g % blocks)
                 lo, hi = start // q**g, -(-stop // q**g)
-                w = acts // scale % q
+                w = acts // scale % q if blocks > 1 else acts  # the run's value in the group's block
                 if c:
-                    runs = mul[c].take(add[mul[pow(c, -1, p)][w]])
+                    runs = mul[c].take(add.take(mul[pow(c, -1, p)].take(w), axis=0))
                 else:
                     runs = np.broadcast_to(w[:, None], (len(w), q))
                 if blocks > 1:  # the run's other blocks pass through
