@@ -338,8 +338,8 @@ def test_form_actions_follow_the_digit_formula(monkeypatch):
 
 def test_form_actions_hold_one_coordinate_at_a_time():
     """At n = 8 the peak is the r actions and a few temporaries of one form:
-    the row gathers decode no digit arrays, and the group tables are built
-    with the cached evaluator, before the measured call."""
+    the row gathers decode no digit arrays, and the addition table was cached
+    when the evaluator was built."""
     system = validate({"p": 2, "forms": [[1, 0], [1, 1]]})
     n = 8
     evaluator = LambdaEvaluator(system, n)
