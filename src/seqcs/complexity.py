@@ -123,7 +123,7 @@ def flat_lattice(system: LinearSystem, node_guard: int = 10**8):
     """
     flats = system._flats
     if flats is None or len(flats) > node_guard:
-        nodes = closure_walk(system.forms, (), system.p, system.d, node_guard)
+        nodes = closure_walk(system.forms, (), system.p, node_guard)
         flats = tuple(sorted((mask_indices(cl), cl, tuple(kids)) for cl, kids in nodes))
         object.__setattr__(system, "_flats", flats)
     return flats

@@ -5,7 +5,8 @@ miss the excluded points, or the affine spans of subsets of the target set.
 Both pools are sets of point indices, and only the parts a cover picks are
 built as `AffineSubspace`s; membership by reduction (`contains`) is left to
 the independent checker `verify_cover`.  A hyperplane is normal·x = c, so its
-members come from one dot product per point and canonical normal.
+members come from one dot product per point and canonical normal; past
+HYPERPLANE_NORMAL_GUARD normals the hyperplane pool is refused.
 The spans come from `closure_walk`, the one closure-lattice walk of the
 package: it enumerates every distinct span without walking all subsets.  It
 takes one ground set of vectors and the indices of the excluded ones, and
@@ -15,14 +16,17 @@ it serves affine spans, which are linear spans of the points lifted to
 (1, s): `min_cover_excluding` lifts the points and the excluded points
 together, the excluded ones as the tail, and makes one query per cover.
 `seqcs.complexity` walks a system's forms once with nothing excluded, which
-gives every flat, and filters that lattice for each excluded prefix.  The walk
-reduces each vector outside a node's closure once and groups the vectors by
-`residual_key`: one group is one child span, and a group that holds an
-excluded index is inadmissible.  Zero vectors lie in every span, so the walk
-seeds them into every closure.  Minimum covers are exact: one
-branch-and-bound recursion tries cover sizes upward, and the first size that
-succeeds is extracted with the same recursion.  A node guard, counting nodes
-at every size tried, aborts instead of returning an unproven answer.
+gives every flat, and filters that lattice for each excluded prefix.  Each
+queued closure of the walk carries the residual key of every vector outside
+it, the vector reduced modulo the closure's span and scaled to a leading 1;
+one group of equal keys is one child span, and a group that holds an
+excluded index is inadmissible.  A child's keys come from its parent's by
+one elimination step each, so no node reduces against a basis.  Zero
+vectors lie in every span, so the walk seeds them into every closure.
+Minimum covers are exact: one branch-and-bound recursion on int bitmasks
+tries cover sizes upward, and the first size that succeeds is extracted with
+the same recursion.  A node guard, counting nodes at every size tried,
+aborts instead of returning an unproven answer.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from itertools import product
 
 from .field import Prime, SpanBasis, Vector, is_prime, span_basis, vec, vec_sub
 from .systems import InputValidationError, is_integer
+
+HYPERPLANE_NORMAL_GUARD = 10**5
 
 
 class SearchGuardExceeded(RuntimeError):
@@ -118,7 +124,18 @@ class AffineCover:
 
 
 def hyperplane_normals(p: int, M: int):
-    """Canonical normal vectors: first nonzero entry 1, lexicographic order."""
+    """Canonical normal vectors: first nonzero entry 1, lexicographic order.
+
+    Raises ValueError, naming M, before the first one when F_p^M has more
+    than HYPERPLANE_NORMAL_GUARD of them, (p^M - 1)/(p - 1).
+    """
+    count = 0
+    for _ in range(M):  # count = 1 + p + ... + p^(t-1) after t rounds; stops early past the guard
+        count = count * p + 1
+        if count > HYPERPLANE_NORMAL_GUARD:
+            raise ValueError(
+                f"M={M}: F_{p}^{M} has more than {HYPERPLANE_NORMAL_GUARD} hyperplane normals"
+            )
     for v in product(range(p), repeat=M):
         piv = next((j for j, c in enumerate(v) if c), None)
         if piv is not None and v[piv] == 1:
@@ -136,13 +153,16 @@ def exact_set_cover(
     Returns candidate indices of a minimum cover (lexicographically least by
     candidate index among all minimum covers), or None when no cover of size
     <= max_parts exists.  Sizes 1, 2, ... are tried in turn by one recursion,
-    which branches on an uncovered element with the fewest holders; the first
-    size that succeeds is the minimum, and the same recursion then picks the
-    least candidate for each slot.  The node budget counts the nodes of every
-    size tried and of the extraction; past it, SearchGuardExceeded is raised.
+    which branches on the uncovered element with the fewest holders, the
+    least element index among those; the first size that succeeds is the
+    minimum, and the same recursion then picks the least candidate for each
+    slot.  The search runs on int bitmasks: the elements are relabelled once
+    so that bit b is the element of rank b by (holder count, index), which
+    makes the branching element the lowest set bit of the uncovered mask.
+    The node budget counts the nodes of every size tried and of the
+    extraction; past it, SearchGuardExceeded is raised.
     """
-    universe = frozenset(range(n_elements))
-    if not universe:
+    if not n_elements:
         return []
     per_element: list[list[int]] = [[] for _ in range(n_elements)]
     for ci, cand in enumerate(candidates):
@@ -150,11 +170,17 @@ def exact_set_cover(
             per_element[e].append(ci)
     if any(not holders for holders in per_element):
         return None
-    n_holders = [len(holders) for holders in per_element]
+    order = sorted(range(n_elements), key=lambda e: len(per_element[e]))  # stable: ties by index
+    bit = [0] * n_elements
+    for b, e in enumerate(order):
+        bit[e] = 1 << b
+    masks = [sum(bit[e] for e in cand) for cand in candidates]
+    holders = [per_element[e] for e in order]
+    universe = (1 << n_elements) - 1
     cap = len(candidates) if max_parts is None else min(max_parts, len(candidates))
     nodes = 0
 
-    def completable(remaining: frozenset[int], budget: int, floor_index: int) -> bool:
+    def completable(remaining: int, budget: int, floor_index: int) -> bool:
         """Whether <= budget candidates of index >= floor_index cover `remaining`."""
         nonlocal nodes
         nodes += 1
@@ -164,11 +190,22 @@ def exact_set_cover(
             return True
         if budget == 0:
             return False
-        e = min(remaining, key=n_holders.__getitem__)
-        for ci in per_element[e]:
+        branch = holders[(remaining & -remaining).bit_length() - 1]
+        if budget == 1:
+            # each child is a leaf node: it succeeds exactly when the candidate covers the rest
+            for ci in branch:
+                if ci < floor_index:
+                    continue
+                nodes += 1
+                if nodes > node_guard:
+                    raise SearchGuardExceeded(f"set-cover search passed {node_guard} nodes")
+                if not remaining & ~masks[ci]:
+                    return True
+            return False
+        for ci in branch:
             if ci < floor_index:
                 continue
-            if completable(remaining - candidates[ci], budget - 1, floor_index):
+            if completable(remaining & ~masks[ci], budget - 1, floor_index):
                 return True
         return False
 
@@ -182,11 +219,11 @@ def exact_set_cover(
     for slot in range(best_size):
         budget_left = best_size - slot - 1
         for ci in range(floor, len(candidates)):
-            if not candidates[ci] & remaining:
+            if not masks[ci] & remaining:
                 continue
-            if completable(remaining - candidates[ci], budget_left, ci + 1):
+            if completable(remaining & ~masks[ci], budget_left, ci + 1):
                 chosen.append(ci)
-                remaining = remaining - candidates[ci]
+                remaining &= ~masks[ci]
                 floor = ci + 1
                 break
         else:
@@ -194,20 +231,6 @@ def exact_set_cover(
         if not remaining:
             break
     return chosen
-
-
-def residual_key(basis: SpanBasis, v) -> Vector:
-    """v reduced against `basis`, scaled so its first nonzero entry is 1 (zero stays zero).
-
-    For u, v outside span(basis): u lies in span(basis ∪ {v}) exactly when
-    both have the same key, since their residuals are then nonzero multiples.
-    """
-    res = basis.reduce(v)
-    lead = next((x for x in res if x), 0)
-    if lead in (0, 1):
-        return res
-    inv = pow(lead, -1, basis.p)
-    return tuple(x * inv % basis.p for x in res)
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:
@@ -220,7 +243,7 @@ def lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def closure_walk(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
+def closure_walk(vectors, excluded, p: int, node_guard: int = 10**8):
     """Every node of the closure-lattice walk, in visit order, as (closure, children).
 
     `excluded` is a set of indices into `vectors`.  The closure of a span is
@@ -233,15 +256,20 @@ def closure_walk(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
     ones; with nothing excluded its nodes are all the flats of the matroid
     that the vectors represent.
 
-    A node is a closure cl with the basis B of its span.  Its children are the
-    spans of B ∪ {v} for v outside cl, and they are found with one reduction
-    per vector outside cl, excluded vectors included: v's child holds exactly
-    the vectors with v's `residual_key` modulo B, and it is inadmissible
-    exactly when one of them is excluded.  Children are taken in order of
-    their first index, and a child's basis is built only when its closure is
-    new.  Zero vectors lie in every span, so every closure holds them; the
-    seeds are the children of the empty basis, with the zero-only closure
-    placed at its first zero index.  The empty closure is never a node.
+    A queued closure cl carries the residual key of each vector v outside
+    it, excluded vectors included: v reduced modulo span(cl) to the part off
+    the span's pivot columns, scaled so its first nonzero entry is 1.  Two
+    vectors outside cl share a key exactly when they span the same child,
+    so a node's children are its groups of equal keys, taken in order of
+    their first index, and a child is inadmissible exactly when its group
+    holds an excluded index.  A new child found through a key k, whose
+    leading 1 is at column c, gets each remaining key r as r - r[c]·k,
+    rescaled: that is r reduced modulo the child's span, with c its new
+    pivot column.  Keys are built once, when a closure is first queued, and
+    dropped when it is visited.  Zero vectors lie in every span, so every
+    closure holds them; the seeds are the groups of the vectors themselves,
+    with the zero-only closure placed at its first zero index.  The empty
+    closure is never a node.
 
     Entries may be any integers: they are reduced mod p once, here.  Returns
     None when an excluded vector is zero, hence inside every span.  Raises
@@ -254,28 +282,48 @@ def closure_walk(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
             return None
         banned |= 1 << t
 
-    def children(basis: SpanBasis, cl: int) -> list[tuple[int, int]]:
-        """(closure, first index) of each admissible child, in order of first index."""
-        groups: dict[Vector, int] = {}
-        for j, v in enumerate(vectors):
-            if not cl >> j & 1:
-                key = residual_key(basis, v)
-                groups[key] = groups.get(key, 0) | 1 << j
-        return [(cl | g, lowest(g)) for g in groups.values() if not g & banned]
+    def scaled(r: Vector) -> Vector:
+        """r scaled so its first nonzero entry is 1; r is nonzero."""
+        lead = next(x for x in r if x)
+        if lead == 1:
+            return r
+        inv = pow(lead, -1, p)
+        return tuple(x * inv % p for x in r)
 
-    seen: dict[int, SpanBasis] = {}
+    def children(keys: list[tuple[int, Vector]]) -> list[tuple[int, Vector]]:
+        """(group, key) of each admissible child, in order of first index; the
+        child's closure is the parent's joined with the group."""
+        groups: dict[Vector, int] = {}
+        for j, key in keys:
+            groups[key] = groups.get(key, 0) | 1 << j
+        return [(g, key) for key, g in groups.items() if not g & banned]
+
+    seen: set[int] = set()
+    pending: dict[int, list[tuple[int, Vector]]] = {}
     queue: list[int] = []
 
-    def push(basis: SpanBasis, kids: list[tuple[int, int]]) -> None:
-        for ncl, j in kids:
-            if ncl not in seen:
-                seen[ncl] = basis.extended(vectors[j])
-                queue.append(ncl)
+    def push(cl: int, keys: list[tuple[int, Vector]], kids: list[tuple[int, Vector | None]]) -> None:
+        for g, k in kids:
+            ncl = cl | g
+            if ncl in seen:
+                continue
+            seen.add(ncl)
+            queue.append(ncl)
+            if k is None:  # the zero-only closure: its span is still {0}
+                pending[ncl] = keys
+                continue
+            c = k.index(1)
+            child = []
+            for j, r in keys:
+                if not g >> j & 1:
+                    a = r[c]
+                    child.append((j, scaled(tuple((x - a * y) % p for x, y in zip(r, k))) if a else r))
+            pending[ncl] = child
 
-    root = SpanBasis(p, dim)
     zeros = sum(1 << j for j, v in enumerate(vectors) if not any(v))
-    seeds = children(root, zeros) + ([(zeros, lowest(zeros))] if zeros else [])
-    push(root, sorted(seeds, key=lambda kid: kid[1]))
+    keys = [(j, scaled(v)) for j, v in enumerate(vectors) if not zeros >> j & 1]
+    seeds = children(keys) + ([(zeros, None)] if zeros else [])
+    push(zeros, keys, sorted(seeds, key=lambda kid: lowest(kid[0])))
     nodes: list[tuple[int, list[int]]] = []
     while queue:
         cl = queue.pop()
@@ -283,14 +331,14 @@ def closure_walk(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
             raise SearchGuardExceeded(
                 f"closure-lattice walk passed {node_guard} nodes ({len(seen)} closures found)"
             )
-        basis = seen[cl]
-        kids = children(basis, cl)
-        push(basis, kids)
-        nodes.append((cl, [ncl for ncl, _ in kids]))
+        keys = pending.pop(cl)
+        kids = children(keys)
+        push(cl, keys, kids)
+        nodes.append((cl, [cl | g for g, _ in kids]))
     return nodes
 
 
-def closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
+def closure_pool(vectors, excluded, p: int, node_guard: int = 10**8):
     """Maximal admissible closures of `vectors`, as index sets sorted by content.
 
     The childless nodes of `closure_walk(vectors, excluded, ...)`: `excluded`
@@ -298,7 +346,7 @@ def closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
     Returns None when an excluded vector is zero; raises SearchGuardExceeded
     past `node_guard` visits.
     """
-    nodes = closure_walk(vectors, excluded, p, dim, node_guard)
+    nodes = closure_walk(vectors, excluded, p, node_guard)
     if nodes is None:
         return None
     return [frozenset(c) for c in sorted(mask_indices(cl) for cl, kids in nodes if not kids)]
@@ -383,7 +431,7 @@ def min_cover_excluding(
     elif mode == "affine-spans":
         # affine spans are linear spans of the points lifted to (1, s)
         lifted = [(1,) + t for t in pts + exc]
-        member_sets = closure_pool(lifted, range(len(pts), len(lifted)), prime, M + 1, node_guard)
+        member_sets = closure_pool(lifted, range(len(pts), len(lifted)), prime, node_guard)
 
         def subspace(ci: int) -> AffineSubspace:
             return AffineSubspace.from_points([pts[i] for i in sorted(member_sets[ci])], prime)

@@ -663,9 +663,11 @@ def test_contract_fuzzer(tmp_path, capsys):
     file empty, truncated, `[]` or `3`, exits 0, 1 or 2 without a traceback.
 
     The valid inputs are tiny and made from phi(3,3,1).  Each command that
-    takes `--M` is also run at `--M 1000000`, and `gvn` at `--n 1000000`,
-    `--n 1000000000` and `--ell-family 1000000`, where only a size guard can
-    stop it: it must exit 2 without a traceback within one second."""
+    takes `--M` is also run at `--M 1000000`, `gvn` at `--n 1000000`,
+    `--n 1000000000` and `--ell-family 1000000`, and `cover --hyperplanes-only`
+    on a one-point file in F_3^30 and on the (3,2,25) simplex, where only a
+    size guard can stop it: it must exit 2 without a traceback within one
+    second."""
     texts = {
         "system": json.dumps(phi_system(3, 3, 1).to_json()),
         "certificate": json.dumps(phi_witness_certificate(3, 3, 1).to_json()),
@@ -708,6 +710,10 @@ def test_contract_fuzzer(tmp_path, capsys):
     gvn_random, gvn_counterexample = (base for base in bases if base[0] == "gvn")
     huge += [gvn_random + ["--n", "1000000"], gvn_random + ["--n", "1000000000"],
              gvn_counterexample + ["--ell-family", "1000000"]]
+    wide = str(tmp_path / "wide-points.json")
+    Path(wide).write_text(json.dumps({"p": 3, "M": 30, "points": [[1] * 30], "excluded": []}))
+    huge += [["cover", wide, "--hyperplanes-only"],
+             ["cover", "--phikm-origin", "--p", "3", "--k", "2", "--M", "25", "--hyperplanes-only"]]
 
     def overdue(signum, frame):
         raise TimeoutError("no exit within one second")

@@ -8,7 +8,9 @@ The pools that `admissible_cover` filters from a system's memoised lattice of
 flats are checked against `closure_pool`, one walk per query.
 The walk's visit order is checked against `reference_closure_pool`, the walk
 as it was before children were grouped by residual key, when excluded vectors
-were a second list; the walk gets them as the tail of its ground set.
+were a second list; the walk gets them as the tail of its ground set.  The
+walk's incremental keys are checked against `residual_key`, each vector
+reduced against a basis of the node's closure, as the walk once did it.
 """
 
 from itertools import combinations, product
@@ -17,8 +19,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from seqcs.complexity import admissible_cover, admissible_flats, flat_lattice
-from seqcs.covering import AffineSubspace, SearchGuardExceeded, closure_pool, residual_key
-from seqcs.field import SpanBasis, completing_transform, mat_inverse, mat_mul, rank, span_basis
+from seqcs.covering import AffineSubspace, SearchGuardExceeded, closure_pool, closure_walk, mask_indices
+from seqcs.field import SpanBasis, Vector, completing_transform, mat_inverse, mat_mul, rank, span_basis, vec
 from seqcs.phi_km import phi_system, s_km_points
 from seqcs.systems import LinearSystem, validate
 
@@ -63,14 +65,14 @@ def affine_instances(draw):
 
 def linear_pool(system: LinearSystem, excluded, node_guard: int):
     """The parts pool of `admissible_cover`: the system's forms, excluded ones by index."""
-    return closure_pool(system.forms, excluded, system.p, system.d, node_guard)
+    return closure_pool(system.forms, excluded, system.p, node_guard)
 
 
 def affine_pool(points, excluded, p: int, M: int, node_guard: int):
     """The affine-span pool of `min_cover_excluding`: points and excluded points lifted
     to (1, s) in one ground set, the excluded ones as its tail."""
     lifted = [(1,) + tuple(t) for t in list(points) + list(excluded)]
-    return closure_pool(lifted, range(len(points), len(lifted)), p, M + 1, node_guard)
+    return closure_pool(lifted, range(len(points), len(lifted)), p, node_guard)
 
 
 @EXAMPLES
@@ -128,7 +130,7 @@ def test_affine_pool_matches_brute_force(instance):
 ], ids=["duplicate", "duplicate-multiple-and-zero", "none", "none-parallel", "zero", "zero-duplicate"])
 def test_excluded_indices(vectors, excluded, pool):
     expected = None if pool is None else [frozenset(c) for c in pool]
-    assert closure_pool(vectors, excluded, 3, 2) == expected
+    assert closure_pool(vectors, excluded, 3) == expected
 
 
 S343_POINTS = [z for z in s_km_points(3, 4, 3) if any(z)]
@@ -150,6 +152,20 @@ def test_node_guard_trips_at_the_same_node(walk, nodes):
     walk(nodes)
     with pytest.raises(SearchGuardExceeded, match=f"passed {nodes - 1} nodes"):
         walk(nodes - 1)
+
+
+def residual_key(basis: SpanBasis, v) -> Vector:
+    """v reduced against `basis`, scaled so its first nonzero entry is 1 (zero stays zero).
+
+    For u, v outside span(basis): u lies in span(basis ∪ {v}) exactly when
+    both have the same key, since their residuals are then nonzero multiples.
+    """
+    res = basis.reduce(v)
+    lead = next((x for x in res if x), 0)
+    if lead in (0, 1):
+        return res
+    inv = pow(lead, -1, basis.p)
+    return tuple(x * inv % basis.p for x in res)
 
 
 def reference_closure_pool(vectors, excluded, p: int, dim: int, node_guard: int = 10**8):
@@ -207,7 +223,7 @@ def reference_closure_pool(vectors, excluded, p: int, dim: int, node_guard: int 
 def indexed_walk(vectors, excluded, p: int, dim: int, node_guard: int):
     """`closure_pool` on the ground set vectors + excluded, the excluded ones by index."""
     tail = range(len(vectors), len(vectors) + len(excluded))
-    return closure_pool(vectors + excluded, tail, p, dim, node_guard)
+    return closure_pool(vectors + excluded, tail, p, node_guard)
 
 
 def walk_outcome(walk, args, guard):
@@ -285,7 +301,7 @@ def test_lattice_pool_matches_closure_pool(instance):
 def test_lattice_pool_edge_cases(vectors, excluded, pool):
     expected = None if pool is None else [frozenset(c) for c in pool]
     system = LinearSystem(3, tuple(vectors))
-    assert lattice_pool(system, excluded) == expected == closure_pool(vectors, excluded, 3, 2)
+    assert lattice_pool(system, excluded) == expected == closure_pool(vectors, excluded, 3)
 
 
 REMARK_F7 = {"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 3], [1, 2, 3], [1, 3, 3]]}
@@ -324,6 +340,34 @@ def test_walk_matches_reference_visit_for_visit(instance):
         assert walk_outcome(reference_closure_pool, instance, guard) == outcome
         guard += 1
     assert walk_outcome(reference_closure_pool, instance, guard) == outcome
+
+
+@settings(max_examples=150)
+@given(walk_instances())
+def test_walk_keys_group_like_residual_keys(instance):
+    """At every node the walk's children are the groups of the vectors outside
+    the closure under `residual_key` against a basis of the closure's span,
+    in order of first index, less the groups that hold an excluded index;
+    and the closure is exactly the set of vectors that reduce to zero."""
+    vectors, excluded, p, d = instance
+    ground = [vec(v, p) for v in vectors + excluded]
+    tail = range(len(vectors), len(ground))
+    nodes = closure_walk(ground, tail, p)
+    if nodes is None:
+        assert any(not any(ground[t]) for t in tail)
+        return
+    banned = sum(1 << t for t in tail)
+    for cl, kids in nodes:
+        basis = span_basis([ground[j] for j in mask_indices(cl)], p, d)
+        groups: dict[Vector, int] = {}
+        for j, v in enumerate(ground):
+            key = residual_key(basis, v)
+            if any(key):
+                groups[key] = groups.get(key, 0) | 1 << j
+            else:
+                assert cl >> j & 1
+        assert not cl & sum(groups.values())
+        assert kids == [cl | g for g in groups.values() if not g & banned]
 
 
 @settings(max_examples=200)

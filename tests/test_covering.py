@@ -189,6 +189,145 @@ def test_set_cover_guard_trip_is_pinned():
         min_cover_excluding(3, 2, points, [(0, 0)], mode="hyperplanes-only", node_guard=52)
 
 
+def reference_set_cover(n_elements, candidates, max_parts=None, node_guard=10**8):
+    """`exact_set_cover` as it was on frozensets, kept as an oracle.
+
+    The recursion branches on an uncovered element with the fewest holders,
+    the least such element index (the frozenset search took whichever of
+    them the set's iteration order gave first).
+    """
+    universe = frozenset(range(n_elements))
+    if not universe:
+        return []
+    per_element = [[] for _ in range(n_elements)]
+    for ci, cand in enumerate(candidates):
+        for e in cand:
+            per_element[e].append(ci)
+    if any(not holders for holders in per_element):
+        return None
+    n_holders = [len(holders) for holders in per_element]
+    cap = len(candidates) if max_parts is None else min(max_parts, len(candidates))
+    nodes = 0
+
+    def completable(remaining, budget, floor_index):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_guard:
+            raise SearchGuardExceeded(f"set-cover search passed {node_guard} nodes")
+        if not remaining:
+            return True
+        if budget == 0:
+            return False
+        e = min(remaining, key=lambda e: (n_holders[e], e))
+        for ci in per_element[e]:
+            if ci < floor_index:
+                continue
+            if completable(remaining - candidates[ci], budget - 1, floor_index):
+                return True
+        return False
+
+    best_size = next((size for size in range(1, cap + 1) if completable(universe, size, 0)), None)
+    if best_size is None:
+        return None
+    chosen = []
+    remaining = universe
+    floor = 0
+    for slot in range(best_size):
+        budget_left = best_size - slot - 1
+        for ci in range(floor, len(candidates)):
+            if not candidates[ci] & remaining:
+                continue
+            if completable(remaining - candidates[ci], budget_left, ci + 1):
+                chosen.append(ci)
+                remaining = remaining - candidates[ci]
+                floor = ci + 1
+                break
+        else:
+            raise AssertionError("extraction failed after feasibility was established")
+        if not remaining:
+            break
+    return chosen
+
+
+def search_outcome(search, n_elements, sets, max_parts, guard):
+    """The search's cover, or its guard message when `guard` trips."""
+    try:
+        return search(n_elements, sets, max_parts, guard)
+    except SearchGuardExceeded as exc:
+        return str(exc)
+
+
+def assert_searches_agree(n_elements, sets, max_parts=None):
+    """`exact_set_cover` and `reference_set_cover` return the same cover and trip
+    their node guards at the same node: the least guard that lets the bitmask
+    search finish, found by bisection, lets the reference finish with the same
+    cover, and one node fewer trips both."""
+    def trips(guard):
+        return isinstance(search_outcome(exact_set_cover, n_elements, sets, max_parts, guard), str)
+
+    low, high = 0, 1
+    while trips(high):
+        low, high = high + 1, 2 * high
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (mid + 1, high) if trips(mid) else (low, mid)
+    for guard in {max(low - 1, 0), low}:
+        expected = search_outcome(reference_set_cover, n_elements, sets, max_parts, guard)
+        assert search_outcome(exact_set_cover, n_elements, sets, max_parts, guard) == expected
+    return search_outcome(exact_set_cover, n_elements, sets, max_parts, low)
+
+
+@st.composite
+def wide_set_families(draw):
+    """Up to 10 elements and 12 sets, with repeated sets and many holder-count ties."""
+    n = draw(st.integers(0, 10))
+    subset = st.frozensets(st.integers(0, n - 1), max_size=n) if n else st.just(frozenset())
+    body = draw(st.lists(subset, max_size=9))
+    copies = draw(st.lists(st.sampled_from(body), max_size=3)) if body else []
+    order = draw(st.permutations(range(len(body) + len(copies))))
+    family = body + copies
+    return n, [family[i] for i in order], draw(st.sampled_from([None, 0, 1, 2, 3, 4]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_set_families())
+# elements 1 and 8 tie on holders, and the frozenset {1, 8} left once the first
+# part is taken iterates 8 first
+@example((9, [frozenset({0, 2, 3, 4, 5, 6, 7}), frozenset({1}), frozenset({8}), frozenset({1, 8})], None))
+def test_bitmask_set_cover_matches_the_frozenset_oracle(instance):
+    n, sets, max_parts = instance
+    assert_searches_agree(n, sets, max_parts)
+
+
+def recorded_pool(p, k, M, mode):
+    """The member sets that `min_cover_excluding` hands to the set cover for the
+    phi_{k,M} origin cover, and the size of the cover it returns."""
+    seen = []
+
+    def recording_cover(n_elements, candidates, *args):
+        seen.append(list(candidates))
+        return exact_set_cover(n_elements, candidates, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering, "exact_set_cover", recording_cover)
+        count, cover = min_cover_excluding(p, M, simplex_minus_origin(p, k, M), [(0,) * M], mode=mode)
+    (pool,) = seen
+    return pool, count
+
+
+@pytest.mark.parametrize("p, k, M, mode", [
+    *[(p, k, M, mode) for p, k, M in [(5, 4, 3), (5, 6, 2), (3, 4, 3), (7, 4, 2)]
+      for mode in ("affine-spans", "hyperplanes-only")],
+    (5, 5, 3, "hyperplanes-only"),
+])
+def test_phikm_origin_covers_match_the_frozenset_oracle(p, k, M, mode):
+    pool, count = recorded_pool(p, k, M, mode)
+    n_points = len(simplex_minus_origin(p, k, M))
+    picked = assert_searches_agree(n_points, pool)
+    assert len(picked) == count
+    assert [pool[ci] for ci in picked] == [pool[ci] for ci in reference_set_cover(n_points, pool)]
+
+
 def first_cover(n_elements, sets, max_parts=None):
     """Brute force: the first covering index tuple of `combinations`, by increasing size."""
     for size in range(len(sets) + 1):
