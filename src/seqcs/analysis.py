@@ -198,22 +198,36 @@ def tensor_product_table(f: FunctionTable, ell: int) -> FunctionTable:
     return FunctionTable(f.p, f.n * ell, vals)
 
 
+def _residues(rng, p: int, count: int) -> list[int]:
+    return [int(rng.integers(0, p)) for _ in range(count)]
+
+
+def _disk(p: int, n: int, rng) -> np.ndarray:
+    radius = np.sqrt(rng.random(p**n))  # the radii are drawn before the angles
+    return radius * np.exp(2j * np.pi * rng.random(p**n))
+
+
+def _quadratic_phase(p: int, n: int, rng) -> np.ndarray:
+    quad = [_residues(rng, p, n) for _ in range(n)]
+    return quadratic_table(p, n, quad, _residues(rng, p, n)).values
+
+
+# family name -> (p, n, rng) -> the p^n values of a random 1-bounded table
+TABLE_FAMILIES = {
+    "phases": lambda p, n, rng: np.exp(2j * np.pi * rng.random(p**n)),
+    "disk": _disk,
+    "signs": lambda p, n, rng: (rng.integers(0, 2, p**n) * 2 - 1).astype(np.complex128),
+    "sparse": lambda p, n, rng: (rng.random(p**n) < 1.0 / p).astype(np.complex128),
+    "character": lambda p, n, rng: character_table(p, n, _residues(rng, p, n)).values,
+    "quadratic-phase": _quadratic_phase,
+}
+
+
 def random_one_bounded(p: int, n: int, seed, family: str = "phases") -> FunctionTable:
-    """Deterministic-from-seed 1-bounded random table."""
-    rng = np.random.default_rng(seed)
-    size = p**n
-    if family == "phases":
-        vals = np.exp(2j * np.pi * rng.random(size))
-    elif family == "disk":
-        radius = np.sqrt(rng.random(size))
-        vals = radius * np.exp(2j * np.pi * rng.random(size))
-    elif family == "signs":
-        vals = (rng.integers(0, 2, size) * 2 - 1).astype(np.complex128)
-    elif family == "sparse":
-        vals = (rng.random(size) < 1.0 / p).astype(np.complex128)
-    else:
+    """Deterministic-from-seed 1-bounded random table of a TABLE_FAMILIES family."""
+    if family not in TABLE_FAMILIES:
         raise ValueError(f"unknown family: {family}")
-    return FunctionTable(p, n, vals)
+    return FunctionTable(p, n, TABLE_FAMILIES[family](p, n, np.random.default_rng(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +494,6 @@ def gowers_norm_direct(f: FunctionTable, k: int, point_guard: int = DEFAULT_POIN
 # ---------------------------------------------------------------------------
 # generalized von Neumann harness
 
-_GVN_FAMILIES = ("phases", "disk", "signs", "sparse")
-
-
 @dataclass
 class GvnReport:
     system_hash: str
@@ -518,26 +529,30 @@ class GvnReport:
 
 
 def _draw_tuple(system: LinearSystem, n: int, family: str, seed: int, trial: int):
-    p = int(system.p)
-    tables = []
-    for j in range(system.r):
-        sub_seed = [seed, trial, j]
-        if family == "random":
-            tables.append(random_one_bounded(p, n, sub_seed, _GVN_FAMILIES[j % len(_GVN_FAMILIES)]))
-        elif family in _GVN_FAMILIES:
-            tables.append(random_one_bounded(p, n, sub_seed, family))
-        elif family == "character":
-            rng = np.random.default_rng(sub_seed)
-            freq = [int(rng.integers(0, p)) for _ in range(n)]
-            tables.append(character_table(p, n, freq))
-        elif family == "quadratic-phase":
-            rng = np.random.default_rng(sub_seed)
-            quad = [[int(rng.integers(0, p)) for _ in range(n)] for _ in range(n)]
-            lin = [int(rng.integers(0, p)) for _ in range(n)]
-            tables.append(quadratic_table(p, n, quad, lin))
-        else:
-            raise ValueError(f"unknown family: {family}")
-    return tables
+    """The r tables of one trial, table j drawn from the seed [seed, trial, j].
+
+    "random" cycles phases, disk, signs, sparse over j, and a TABLE_FAMILIES
+    name draws every table from that family.  "ones" gives r constant tables;
+    "character-lead" draws a character from [seed, trial], then phase tables
+    j = 1, ..., r - 1.
+    """
+    p, r = int(system.p), system.r
+    if family == "ones":
+        return [FunctionTable.constant(p, n) for _ in range(r)]
+    if family == "character-lead":
+        return [random_one_bounded(p, n, [seed, trial], "character")] + [
+            random_one_bounded(p, n, [seed, trial, j]) for j in range(1, r)
+        ]
+    cycle = ("phases", "disk", "signs", "sparse") if family == "random" else (family,)
+    return [random_one_bounded(p, n, [seed, trial, j], cycle[j % len(cycle)]) for j in range(r)]
+
+
+def check_trials(trials: int, seed: int) -> None:
+    """Refuse a trial count below 1 or a negative seed by name."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def gvn_check(
@@ -558,10 +573,7 @@ def gvn_check(
     With `tables` given (family "counterexample"/"fixed"), the supplied tuple
     is evaluated once instead of sampling.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_trials(trials, seed)
     exponent = 2.0 ** (1 - ell)
     evaluator = get_evaluator(system, n, point_guard)
     fixed = tables is not None

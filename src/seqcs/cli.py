@@ -25,9 +25,6 @@ from . import analysis, complexity, covering, phi_km, reduction, systems
 from .covering import SearchGuardExceeded
 
 TOL_INEQUALITY = 1e-9
-DEFAULT_POINT_GUARD = analysis.DEFAULT_POINT_GUARD
-DEFAULT_NODE_GUARD = 10**8
-DEFAULT_MAX_FORMS = 1 << 12
 
 
 def _json_text(obj, level: int = 0) -> str:
@@ -348,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("analyze", help="validate a system and report its complexity data")
     sp.add_argument("system")
     sp.add_argument("--k-max", type=int, default=6)
-    sp.add_argument("--node-guard", type=int, default=DEFAULT_NODE_GUARD)
+    sp.add_argument("--node-guard", type=int, default=covering.NODE_GUARD)
     _add_common(sp)
     sp.set_defaults(func=cmd_analyze)
 
@@ -357,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--at", type=int, default=None, help="target form index (default: all)")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--max-len", type=int, default=4)
-    sp.add_argument("--node-guard", type=int, default=DEFAULT_NODE_GUARD)
+    sp.add_argument("--node-guard", type=int, default=covering.NODE_GUARD)
     _add_common(sp)
     sp.set_defaults(func=cmd_witness)
 
@@ -370,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("reduce", help="build the full reduction chain from a witness")
     sp.add_argument("system")
     sp.add_argument("--witness", required=True)
-    sp.add_argument("--max-forms", type=int, default=DEFAULT_MAX_FORMS)
+    sp.add_argument("--max-forms", type=int, default=reduction.MAX_FORMS)
     sp.add_argument("--numeric-check", action="store_true")
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", dest="tolerance", type=float, default=TOL_INEQUALITY)
-    sp.add_argument("--point-guard", type=int, default=DEFAULT_POINT_GUARD)
+    sp.add_argument("--point-guard", type=int, default=analysis.DEFAULT_POINT_GUARD)
     _add_common(sp)
     sp.set_defaults(func=cmd_reduce)
 
@@ -393,23 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--family",
         default="random",
-        choices=(
-            "random",
-            "phases",
-            "disk",
-            "signs",
-            "sparse",
-            "character",
-            "quadratic-phase",
-            "counterexample",
-        ),
+        choices=("random", *analysis.TABLE_FAMILIES, "counterexample"),
     )
     sp.add_argument("--phi-k", type=int, default=None)
     sp.add_argument("--phi-M", dest="phi_m", type=int, default=None)
     sp.add_argument("--w", default=None, help="comma-separated weight for the counterexample family")
     sp.add_argument("--ell-family", type=int, default=1, help="tensor level of the counterexample family")
     sp.add_argument("--tol", dest="tolerance", type=float, default=TOL_INEQUALITY)
-    sp.add_argument("--point-guard", type=int, default=DEFAULT_POINT_GUARD)
+    sp.add_argument("--point-guard", type=int, default=analysis.DEFAULT_POINT_GUARD)
     _add_common(sp)
     sp.set_defaults(func=cmd_gvn)
 
@@ -435,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--hyperplanes-only", dest="mode", action="store_const", const="hyperplanes-only", default="affine-spans"
     )
     sp.add_argument("--max-count", type=int, default=None)
-    sp.add_argument("--node-guard", type=int, default=DEFAULT_NODE_GUARD)
+    sp.add_argument("--node-guard", type=int, default=covering.NODE_GUARD)
     _add_common(sp)
     sp.set_defaults(func=cmd_cover)
 
@@ -443,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("function")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--direct", action="store_true", help="also run the direct-definition oracle")
-    sp.add_argument("--point-guard", type=int, default=DEFAULT_POINT_GUARD)
+    sp.add_argument("--point-guard", type=int, default=analysis.DEFAULT_POINT_GUARD)
     _add_common(sp)
     sp.set_defaults(func=cmd_gowers)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import prod
 
-from .covering import SearchGuardExceeded, closure_walk, exact_set_cover, mask_indices
+from .covering import NODE_GUARD, SearchGuardExceeded, closure_walk, exact_set_cover, mask_indices
 from .field import SpanBasis, rank, span_basis, vec
 from .systems import InputValidationError, LinearSystem, is_integer
 
@@ -111,7 +111,7 @@ class WitnessCertificate:
             return WitnessCertificate.from_json(json.load(fh))
 
 
-def flat_lattice(system: LinearSystem, node_guard: int = 10**8):
+def flat_lattice(system: LinearSystem, node_guard: int = NODE_GUARD):
     """Every flat of the system's forms as (indices, mask, child masks), sorted by indices.
 
     The nodes of one `closure_walk` of the forms with nothing excluded: each
@@ -129,7 +129,7 @@ def flat_lattice(system: LinearSystem, node_guard: int = 10**8):
     return flats
 
 
-def admissible_flats(system: LinearSystem, excluded, node_guard: int = 10**8):
+def admissible_flats(system: LinearSystem, excluded, node_guard: int = NODE_GUARD):
     """Maximal flats of the forms that miss every excluded form, sorted by content.
 
     `excluded` holds form indices.  One bitmask filter over `flat_lattice`:
@@ -155,7 +155,7 @@ def admissible_cover(
     to_cover,
     excluded,
     max_parts: int | None,
-    node_guard: int = 10**8,
+    node_guard: int = NODE_GUARD,
 ) -> CoverCertificate | None:
     """Cover of `to_cover` by <= max_parts admissible parts, or None if impossible.
 
@@ -184,7 +184,7 @@ def admissible_cover(
 
 
 def cs_complexity_at(
-    system: LinearSystem, i: int, node_guard: int = 10**8
+    system: LinearSystem, i: int, node_guard: int = NODE_GUARD
 ) -> tuple[int | None, CoverCertificate | None]:
     """Least k admitting a (k+1)-part admissible cover of the other forms at i.
 
@@ -202,7 +202,7 @@ def sequential_witness(
     i: int,
     k: int,
     max_len: int,
-    node_guard: int = 10**8,
+    node_guard: int = NODE_GUARD,
 ) -> WitnessCertificate | None:
     """Shortest witness sequence of distinct forms ending at i, each prefix
     admitting a (k+1)-part admissible cover; None when none exists with
@@ -376,7 +376,7 @@ class ComplexityReport:
         }
 
 
-def complexity_report(system: LinearSystem, k_max: int = 6, node_guard: int = 10**8) -> ComplexityReport:
+def complexity_report(system: LinearSystem, k_max: int = 6, node_guard: int = NODE_GUARD) -> ComplexityReport:
     per_index = [cs_complexity_at(system, i, node_guard) for i in range(system.r)]
     values = [s for s, _ in per_index]
     s_cs = None if any(v is None for v in values) else max(values)

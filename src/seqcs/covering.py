@@ -6,7 +6,8 @@ Both pools are sets of point indices, and only the parts a cover picks are
 built as `AffineSubspace`s; membership by reduction (`contains`) is left to
 the independent checker `verify_cover`.  A hyperplane is normal·x = c, so its
 members come from one dot product per point and canonical normal; past
-HYPERPLANE_NORMAL_GUARD normals the hyperplane pool is refused.
+HYPERPLANE_NORMAL_GUARD normals, or HYPERPLANE_PRODUCT_GUARD dot products
+over the points and excluded points, the hyperplane pool is refused.
 The spans come from `closure_walk`, the one closure-lattice walk of the
 package: it enumerates every distinct span without walking all subsets.  It
 takes one ground set of vectors and the indices of the excluded ones, and
@@ -37,7 +38,9 @@ from itertools import product
 from .field import Prime, SpanBasis, Vector, is_prime, span_basis, vec, vec_sub
 from .systems import InputValidationError, is_integer
 
+NODE_GUARD = 10**8
 HYPERPLANE_NORMAL_GUARD = 10**5
+HYPERPLANE_PRODUCT_GUARD = 10**7  # about 14 s at 1.4 µs per dot product (2-core Xeon VM)
 
 
 class SearchGuardExceeded(RuntimeError):
@@ -146,7 +149,7 @@ def exact_set_cover(
     n_elements: int,
     candidates: list[frozenset[int]],
     max_parts: int | None = None,
-    node_guard: int = 10**8,
+    node_guard: int = NODE_GUARD,
 ) -> list[int] | None:
     """Minimum cover of {0..n_elements-1} by candidate sets; exact and deterministic.
 
@@ -243,7 +246,7 @@ def lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def closure_walk(vectors, excluded, p: int, node_guard: int = 10**8):
+def closure_walk(vectors, excluded, p: int, node_guard: int = NODE_GUARD):
     """Every node of the closure-lattice walk, in visit order, as (closure, children).
 
     `excluded` is a set of indices into `vectors`.  The closure of a span is
@@ -338,7 +341,7 @@ def closure_walk(vectors, excluded, p: int, node_guard: int = 10**8):
     return nodes
 
 
-def closure_pool(vectors, excluded, p: int, node_guard: int = 10**8):
+def closure_pool(vectors, excluded, p: int, node_guard: int = NODE_GUARD):
     """Maximal admissible closures of `vectors`, as index sets sorted by content.
 
     The childless nodes of `closure_walk(vectors, excluded, ...)`: `excluded`
@@ -393,7 +396,7 @@ def min_cover_excluding(
     excluded,
     mode: str = "affine-spans",
     max_count: int | None = None,
-    node_guard: int = 10**8,
+    node_guard: int = NODE_GUARD,
 ) -> tuple[int, AffineCover] | None:
     """Exact minimum cover of `points` by affine subspaces missing every excluded point.
 
@@ -416,8 +419,15 @@ def min_cover_excluding(
         if M < 1:
             raise ValueError("ambient dimension must be >= 1")
         # normal·x = c is a candidate when some point and no excluded point has the value c
+        normals = list(hyperplane_normals(prime, M))
+        products = len(normals) * (len(pts) + len(exc))
+        if products > HYPERPLANE_PRODUCT_GUARD:
+            raise ValueError(
+                f"{len(normals)} hyperplane normals times {len(pts) + len(exc)} points and excluded points"
+                f" need {products} dot products, above the guard {HYPERPLANE_PRODUCT_GUARD}"
+            )
         planes: list[tuple[frozenset[int], Vector, int]] = []
-        for normal in hyperplane_normals(prime, M):
+        for normal in normals:
             values = [sum(n * x for n, x in zip(normal, t)) % prime for t in pts]
             missed = set(values).difference(sum(n * x for n, x in zip(normal, a)) % prime for a in exc)
             for const in sorted(missed):

@@ -3,11 +3,13 @@
 Vectors are tuples of canonical residues in [0, p-1] and matrices are tuples
 of row tuples.  Every public function reduces its integer inputs mod p, so
 callers may pass arbitrary integers; the incremental `SpanBasis.reduce` and
-`SpanBasis.extended` are the exception and take canonical residues, so the
-closure walk pays no reduction per call.  All operations are pure.
+`SpanBasis.extended` are the exception and take canonical residues, so their
+callers (`verify_witness`, `AffineSubspace`, `in_span` through
+`SpanBasis.contains`, and `normalize_translation_invariant`) pay no
+reduction per call.  All operations are pure.
 
-Bulk elimination (`rref`, `span_basis`, and through them `rank`,
-`mat_inverse` and `solve_right`) runs on one numpy kernel, `_rref_array`:
+Bulk elimination (`rref`, `span_basis`, and through them `rank` and
+`solve_right`) runs on one numpy kernel, `_rref_array`:
 each pivot is one vectorised row operation over the rows that need it.  It
 is exact for every prime: below 2^31 it works in int64, where every product
 of two residues stays below 2^62; from 2^31 on the same code runs on Python
@@ -242,15 +244,6 @@ def completing_transform(v: Sequence[int], p: int) -> Matrix:
     ascending) span the kernel of v.  Row i is e_i·T.
     """
     return tuple(apply_completing(e, v, p) for e in identity(len(v)))
-
-
-def mat_inverse(m: Matrix, p: int) -> Matrix | None:
-    """Inverse of a square matrix over F_p, or None when singular; RREF of [m | I] is [I | m^-1]."""
-    d = len(m)
-    red, _, pivots = rref([tuple(row) + e for row, e in zip(m, identity(d))], p)
-    if pivots != list(range(d)):
-        return None
-    return tuple(row[d:] for row in red)
 
 
 def solve_right(m: Matrix, b: Sequence[int], p: int) -> Vector | None:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .analysis import FunctionTable, character_table, get_evaluator, random_one_bounded
+from .analysis import DEFAULT_POINT_GUARD, _draw_tuple, check_trials, get_evaluator
 from .complexity import CoverCertificate, WitnessCertificate, verify_witness
 from .field import Matrix, Vector, apply_completing, completing_transform, span_basis
 from .systems import LinearSystem
+
+MAX_FORMS = 1 << 12
 
 
 class InvalidWitness(ValueError):
@@ -204,7 +204,7 @@ class ReductionChain:
 def build_chain(
     system: LinearSystem,
     witness: WitnessCertificate,
-    max_forms: int = 1 << 12,
+    max_forms: int = MAX_FORMS,
 ) -> ReductionChain:
     """Iterate cs_step until the witness has length 1, tracking function slots.
 
@@ -246,38 +246,21 @@ def numeric_step_check(
     trials: int = 100,
     seed: int = 0,
     family: str = "phases",
-    point_guard: int = 10**8,
+    point_guard: int = DEFAULT_POINT_GUARD,
 ) -> float:
     """Largest observed |Λ_in|^2 - Re(Λ_out) over random 1-bounded tuples.
 
     Must be <= tolerance for a sound step: the output average dominates the
-    squared input average by the Cauchy-Schwarz inequality.  Functions are
-    drawn per relabeled position; the output average routes them (with
-    conjugations) through the slot table.
+    squared input average by the Cauchy-Schwarz inequality.  Each trial's
+    tuple comes from `_draw_tuple`, one table per relabeled position; the
+    output average routes them (with conjugations) through the slot table.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    r = step.input_system.r
+    check_trials(trials, seed)
     in_eval = get_evaluator(step.transformed_system, n, point_guard)
     out_eval = get_evaluator(step.output_system, n, point_guard)
     worst = -float("inf")
     for trial in range(trials):
-        if family == "ones":
-            tables = [FunctionTable.constant(int(step.input_system.p), n) for _ in range(r)]
-        elif family == "character-lead":
-            p = int(step.input_system.p)
-            rng = np.random.default_rng([seed, trial])
-            freq = [int(rng.integers(0, p)) for _ in range(n)]
-            tables = [character_table(p, n, freq)] + [
-                random_one_bounded(p, n, [seed, trial, j], "phases") for j in range(1, r)
-            ]
-        else:
-            tables = [
-                random_one_bounded(int(step.input_system.p), n, [seed, trial, j], family)
-                for j in range(r)
-            ]
+        tables = _draw_tuple(step.input_system, n, family, seed, trial)
         lam_in = in_eval.value(tables)
         out_tables = [tables[s.source] for s in step.slots]
         out_conj = [s.conjugated for s in step.slots]

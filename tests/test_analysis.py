@@ -274,6 +274,8 @@ def test_random_tables_deterministic_and_bounded():
     assert set(np.round(sparse.values.real)) <= {0.0, 1.0}
     with pytest.raises(ValueError):
         random_one_bounded(5, 1, 0, "nope")
+    with pytest.raises(ValueError, match="unknown family: nope"):
+        analysis._draw_tuple(PHI31, 1, "nope", 0, 0)
 
 
 def test_gvn_check_progression_families():
@@ -408,3 +410,84 @@ def test_huge_groups_are_refused_without_their_size():
     with pytest.raises(EnumerationGuardExceeded, match=r"ell = 17: .* 3\^17 entries"):
         tensor_product_table(FunctionTable.constant(3, 1), 17)  # 3^17 > 1e8 > 3^16
     assert tensor_product_table(FunctionTable.constant(2, 1), 20).size == 2**20
+
+
+def reference_one_bounded(p: int, n: int, seed, family: str = "phases") -> FunctionTable:
+    """Oracle of random_one_bounded for the first four families: the if-chain before the registry."""
+    rng = np.random.default_rng(seed)
+    size = p**n
+    if family == "phases":
+        vals = np.exp(2j * np.pi * rng.random(size))
+    elif family == "disk":
+        radius = np.sqrt(rng.random(size))
+        vals = radius * np.exp(2j * np.pi * rng.random(size))
+    elif family == "signs":
+        vals = (rng.integers(0, 2, size) * 2 - 1).astype(np.complex128)
+    elif family == "sparse":
+        vals = (rng.random(size) < 1.0 / p).astype(np.complex128)
+    else:
+        raise ValueError(f"unknown family: {family}")
+    return FunctionTable(p, n, vals)
+
+
+_GVN_FAMILIES = ("phases", "disk", "signs", "sparse")
+
+
+def reference_draw(system, n: int, family: str, seed: int, trial: int):
+    """Oracle of _draw_tuple: the gvn drawer and the numeric step check's own
+    switch ("ones", "character-lead") as they were before the one drawer."""
+    p, r = int(system.p), system.r
+    if family == "ones":
+        return [FunctionTable.constant(p, n) for _ in range(r)]
+    if family == "character-lead":
+        rng = np.random.default_rng([seed, trial])
+        freq = [int(rng.integers(0, p)) for _ in range(n)]
+        return [character_table(p, n, freq)] + [
+            reference_one_bounded(p, n, [seed, trial, j], "phases") for j in range(1, r)
+        ]
+    tables = []
+    for j in range(system.r):
+        sub_seed = [seed, trial, j]
+        if family == "random":
+            tables.append(reference_one_bounded(p, n, sub_seed, _GVN_FAMILIES[j % len(_GVN_FAMILIES)]))
+        elif family in _GVN_FAMILIES:
+            tables.append(reference_one_bounded(p, n, sub_seed, family))
+        elif family == "character":
+            rng = np.random.default_rng(sub_seed)
+            freq = [int(rng.integers(0, p)) for _ in range(n)]
+            tables.append(character_table(p, n, freq))
+        elif family == "quadratic-phase":
+            rng = np.random.default_rng(sub_seed)
+            quad = [[int(rng.integers(0, p)) for _ in range(n)] for _ in range(n)]
+            lin = [int(rng.integers(0, p)) for _ in range(n)]
+            tables.append(quadratic_table(p, n, quad, lin))
+        else:
+            raise ValueError(f"unknown family: {family}")
+    return tables
+
+
+DRAW_FAMILIES = ("random", "phases", "disk", "signs", "sparse", "character", "quadratic-phase", "ones",
+                 "character-lead")
+
+
+def test_table_families_are_the_registry_in_order():
+    assert ("random", *analysis.TABLE_FAMILIES, "ones", "character-lead") == DRAW_FAMILIES
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(DRAW_FAMILIES),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 2),
+    st.integers(1, 6),
+    st.integers(0, 2**63),
+    st.integers(0, 10**4),
+)
+def test_draw_tuple_matches_the_reference_drawer(family, p, n, r, seed, trial):
+    """Every family draws bit for bit the tables of the drawers it replaced, on this machine."""
+    system = LinearSystem(p, tuple((1, j) for j in range(r)))
+    got = analysis._draw_tuple(system, n, family, seed, trial)
+    want = reference_draw(system, n, family, seed, trial)
+    assert len(got) == len(want) == r
+    for j, (a, b) in enumerate(zip(got, want)):
+        assert (a.p, a.n) == (b.p, b.n) and np.array_equal(a.values, b.values), (family, j)

@@ -665,9 +665,9 @@ def test_contract_fuzzer(tmp_path, capsys):
     The valid inputs are tiny and made from phi(3,3,1).  Each command that
     takes `--M` is also run at `--M 1000000`, `gvn` at `--n 1000000`,
     `--n 1000000000` and `--ell-family 1000000`, and `cover --hyperplanes-only`
-    on a one-point file in F_3^30 and on the (3,2,25) simplex, where only a
-    size guard can stop it: it must exit 2 without a traceback within one
-    second."""
+    on a one-point file in F_3^30, on the (3,2,25) simplex and on the
+    (3,21,10) simplex (29 524 normals times 59 049 points), where only a size
+    guard can stop it: it must exit 2 without a traceback within one second."""
     texts = {
         "system": json.dumps(phi_system(3, 3, 1).to_json()),
         "certificate": json.dumps(phi_witness_certificate(3, 3, 1).to_json()),
@@ -713,7 +713,8 @@ def test_contract_fuzzer(tmp_path, capsys):
     wide = str(tmp_path / "wide-points.json")
     Path(wide).write_text(json.dumps({"p": 3, "M": 30, "points": [[1] * 30], "excluded": []}))
     huge += [["cover", wide, "--hyperplanes-only"],
-             ["cover", "--phikm-origin", "--p", "3", "--k", "2", "--M", "25", "--hyperplanes-only"]]
+             ["cover", "--phikm-origin", "--p", "3", "--k", "2", "--M", "25", "--hyperplanes-only"],
+             ["cover", "--phikm-origin", "--p", "3", "--k", "21", "--M", "10", "--hyperplanes-only"]]
 
     def overdue(signum, frame):
         raise TimeoutError("no exit within one second")

@@ -455,3 +455,13 @@ def test_hyperplane_pool_matches_the_contains_oracle(instance):
 def test_hyperplane_mode_needs_a_dimension():
     with pytest.raises(ValueError, match="ambient dimension must be >= 1"):
         min_cover_excluding(3, 0, [()], [], mode="hyperplanes-only")
+
+
+def test_hyperplane_pool_is_refused_past_the_product_guard(monkeypatch):
+    """normals × (points + excluded) may reach the guard but not pass it, and the refusal names both sizes."""
+    points, excluded = [(1, 0), (0, 1), (1, 1)], [(0, 0)]  # 4 normals in F_3^2, 4 points in all
+    monkeypatch.setattr(covering, "HYPERPLANE_PRODUCT_GUARD", 16)
+    assert min_cover_excluding(3, 2, points, excluded, mode="hyperplanes-only")[0] == 2
+    monkeypatch.setattr(covering, "HYPERPLANE_PRODUCT_GUARD", 15)
+    with pytest.raises(ValueError, match="4 hyperplane normals times 4 points"):
+        min_cover_excluding(3, 2, points, excluded, mode="hyperplanes-only")

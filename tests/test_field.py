@@ -6,13 +6,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from seqcs.covering import AffineSubspace
 from seqcs.field import (
+    Matrix,
     SpanBasis,
     apply_completing,
     completing_transform,
     in_affine_span,
     in_span,
+    identity,
     is_prime,
-    mat_inverse,
     rank,
     rref,
     span_basis,
@@ -23,6 +24,15 @@ from seqcs.field import (
 
 PRIME_BELOW_2_31 = 2**31 - 1
 PRIME_ABOVE_2_31 = 2**31 + 11
+
+
+def mat_inverse(m: Matrix, p: int) -> Matrix | None:
+    """Inverse of a square matrix over F_p, or None when singular; RREF of [m | I] is [I | m^-1]."""
+    d = len(m)
+    red, _, pivots = rref([tuple(row) + e for row, e in zip(m, identity(d))], p)
+    if pivots != list(range(d)):
+        return None
+    return tuple(row[d:] for row in red)
 
 
 def span_oracle(v, vectors, p):
