@@ -239,7 +239,9 @@ class LambdaEvaluator:
 
     The per-form index arrays (form applied to the digit-encoded assignment
     grid) are the hot path; they are cached whenever the grid is small enough
-    and recomputed per chunk otherwise.
+    and recomputed per chunk otherwise.  Each norm check (`gvn_check`,
+    `reduction.numeric_step_check`, `lambda_average`) builds its own
+    evaluator; none is kept across checks.
     """
 
     def __init__(self, system: LinearSystem, n: int, point_guard: int = DEFAULT_POINT_GUARD):
@@ -329,41 +331,6 @@ def _group_width(p: int, n: int) -> int:
     return max(b for b in range(1, n + 1) if n % b == 0 and (b == 1 or p ** (2 * b) <= _TABLE_BUDGET))
 
 
-def _cache_put(cache: dict, key, value, nbytes) -> None:
-    """Insert value, evicting the oldest entries until the cache's bytes fit _CACHE_BYTE_CAP.
-
-    nbytes(entry) gives an entry's bytes; the bytes held are summed from the
-    cache's contents, so a cache emptied from outside is accounted correctly.
-    A value larger than the cap on its own is not cached.
-    """
-    size = nbytes(value)
-    if size > _CACHE_BYTE_CAP:
-        return
-    while cache and sum(nbytes(v) for v in cache.values()) + size > _CACHE_BYTE_CAP:
-        del cache[next(iter(cache))]
-    cache[key] = value
-
-
-def _evaluator_bytes(evaluator: LambdaEvaluator) -> int:
-    return sum(a.nbytes for a in evaluator._cached_actions or ())
-
-
-_evaluators: dict = {}
-
-
-def get_evaluator(system: LinearSystem, n: int, point_guard: int = DEFAULT_POINT_GUARD) -> LambdaEvaluator:
-    key = (int(system.p), system.forms, n)
-    evaluator = _evaluators.get(key)
-    if evaluator is None:
-        evaluator = LambdaEvaluator(system, n, point_guard)
-        _cache_put(_evaluators, key, evaluator, _evaluator_bytes)
-    if evaluator.total > point_guard:
-        raise EnumerationGuardExceeded(
-            f"{evaluator.total} assignment points exceed the guard {point_guard}"
-        )
-    return evaluator
-
-
 def lambda_average(
     system: LinearSystem,
     tables,
@@ -371,7 +338,7 @@ def lambda_average(
     point_guard: int = DEFAULT_POINT_GUARD,
 ) -> complex:
     """Exact mean of Π f_i(ψ_i(x_1..x_d)) over all assignments in (F_p^n)^d."""
-    return get_evaluator(system, tables[0].n, point_guard).value(tables, conjugated)
+    return LambdaEvaluator(system, tables[0].n, point_guard).value(tables, conjugated)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +351,10 @@ def shift_matrix(p: int, n: int) -> np.ndarray:
     """SHIFT[h, x] = index of x + h; cached per group.
 
     Built one row at a time, so the only size × size array is the result.
+    The cache holds at most _CACHE_BYTE_CAP bytes and evicts its oldest
+    entries first; a matrix larger than the cap on its own is not cached.
+    The bytes held are summed from the cache's contents, so a cache emptied
+    from outside is accounted correctly.
     """
     key = (p, n)
     out = _shift_cache.get(key)
@@ -395,7 +366,10 @@ def shift_matrix(p: int, n: int) -> np.ndarray:
         out = np.empty((size, size), dtype=np.int64)
         for h in range(size):
             out[h] = encode_point([x + c for x, c in zip(xd, digit_matrix(h, p, n))], p)
-        _cache_put(_shift_cache, key, out, lambda a: a.nbytes)
+        if out.nbytes <= _CACHE_BYTE_CAP:
+            while _shift_cache and sum(a.nbytes for a in _shift_cache.values()) + out.nbytes > _CACHE_BYTE_CAP:
+                del _shift_cache[next(iter(_shift_cache))]
+            _shift_cache[key] = out
     return out
 
 
@@ -555,6 +529,12 @@ def check_trials(trials: int, seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse a NaN, infinite or negative tolerance by name."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def gvn_check(
     system: LinearSystem,
     i: int,
@@ -574,8 +554,12 @@ def gvn_check(
     is evaluated once instead of sampling.
     """
     check_trials(trials, seed)
+    check_tolerance(tol)
+    for name, value in (("k", k), ("ell", ell)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     exponent = 2.0 ** (1 - ell)
-    evaluator = get_evaluator(system, n, point_guard)
+    evaluator = LambdaEvaluator(system, n, point_guard)
     fixed = tables is not None
     n_trials = 1 if fixed else trials
     records = []

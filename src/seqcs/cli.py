@@ -160,6 +160,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    analysis.check_tolerance(args.tolerance)
     system = systems.load_system(args.system)
     cert = complexity.WitnessCertificate.load(args.witness)
     head = {"config": _config(args)}

@@ -406,6 +406,8 @@ def min_cover_excluding(
     only the picked ones become subspaces.  Returns (count, cover) or None
     when no finite cover exists.
     """
+    if max_count is not None and max_count < 0:
+        raise ValueError(f"max_count must be >= 0, got {max_count}")
     prime = Prime(p)
     pts = [vec(t, prime) for t in points]
     exc = [vec(a, prime) for a in excluded]

@@ -2,11 +2,10 @@
 
 Vectors are tuples of canonical residues in [0, p-1] and matrices are tuples
 of row tuples.  Every public function reduces its integer inputs mod p, so
-callers may pass arbitrary integers; the incremental `SpanBasis.reduce` and
-`SpanBasis.extended` are the exception and take canonical residues, so their
-callers (`verify_witness`, `AffineSubspace`, `in_span` through
-`SpanBasis.contains`, and `normalize_translation_invariant`) pay no
-reduction per call.  All operations are pure.
+callers may pass arbitrary integers; the incremental `SpanBasis.reduce` is
+the exception and takes canonical residues, so its callers
+(`verify_witness`, `AffineSubspace` and `in_span` through
+`SpanBasis.contains`) pay no reduction per call.  All operations are pure.
 
 Bulk elimination (`rref`, `span_basis`, and through them `rank` and
 `solve_right`) runs on one numpy kernel, `_rref_array`:
@@ -131,10 +130,9 @@ def rank(rows: Iterable[Iterable[int]], p: int) -> int:
 class SpanBasis:
     """Row-reduced basis of a linear subspace with cheap membership tests.
 
-    Immutable; `extended` returns a new basis.  Rows are kept in echelon
-    form with unit pivots, so membership is a single elimination pass.
-    `reduce` and `extended` take vectors of canonical residues in [0, p-1];
-    `contains` accepts any integers.
+    Immutable.  Rows are kept in echelon form with unit pivots, so
+    membership is a single elimination pass.  `reduce` takes vectors of
+    canonical residues in [0, p-1]; `contains` accepts any integers.
     """
 
     __slots__ = ("p", "dim", "rows", "pivots")
@@ -162,26 +160,6 @@ class SpanBasis:
 
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.reduce(vec(v, self.p)))
-
-    def extended(self, v: Sequence[int]) -> "SpanBasis":
-        """Basis of span(self ∪ {v}) for v of canonical residues; returns self when v is already inside."""
-        res = self.reduce(v)
-        piv = next((j for j, x in enumerate(res) if x), None)
-        if piv is None:
-            return self
-        p = self.p
-        inv = pow(res[piv], -1, p)
-        new_row = tuple((x * inv) % p for x in res)
-        rows = [list(r) for r in self.rows]
-        for r in rows:
-            c = r[piv]
-            if c:
-                for j in range(self.dim):
-                    r[j] = (r[j] - c * new_row[j]) % p
-        rows.append(list(new_row))
-        order = sorted(range(len(rows)), key=lambda i: (self.pivots + (piv,))[i])
-        pivots = tuple(sorted(self.pivots + (piv,)))
-        return SpanBasis(p, self.dim, tuple(tuple(rows[i]) for i in order), pivots)
 
 
 def span_basis(vectors: Iterable[Sequence[int]], p: int, dim: int) -> SpanBasis:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import DEFAULT_POINT_GUARD, _draw_tuple, check_trials, get_evaluator
+from .analysis import DEFAULT_POINT_GUARD, LambdaEvaluator, _draw_tuple, check_trials
 from .complexity import CoverCertificate, WitnessCertificate, verify_witness
 from .field import Matrix, Vector, apply_completing, completing_transform, span_basis
 from .systems import LinearSystem
@@ -214,6 +214,8 @@ def build_chain(
     certificate is verified once, by the step that consumes it or, for the
     last one, here; a failure past the input witness is an internal fault.
     """
+    if max_forms < 0:
+        raise ValueError(f"max_forms must be >= 0, got {max_forms}")
     current_system, current_witness = system, witness
     slot_map: tuple[tuple[int, bool], ...] = tuple((j, False) for j in range(system.r))
     steps: list[ReductionStep] = []
@@ -256,8 +258,8 @@ def numeric_step_check(
     output average routes them (with conjugations) through the slot table.
     """
     check_trials(trials, seed)
-    in_eval = get_evaluator(step.transformed_system, n, point_guard)
-    out_eval = get_evaluator(step.output_system, n, point_guard)
+    in_eval = LambdaEvaluator(step.transformed_system, n, point_guard)
+    out_eval = LambdaEvaluator(step.output_system, n, point_guard)
     worst = -float("inf")
     for trial in range(trials):
         tables = _draw_tuple(step.input_system, n, family, seed, trial)

@@ -20,7 +20,6 @@ from .field import (
     mat_mul,
     rank,
     solve_right,
-    span_basis,
     vec,
 )
 
@@ -164,8 +163,9 @@ def normalize_translation_invariant(
 
     Returns (Ψ·R, R) with R invertible, or None when the all-ones vector is
     not in the column space of Ψ.  Deterministic: the first column of R is
-    the RREF solution with free variables zero, completed to a basis by the
-    first standard basis vectors that extend it.
+    the RREF solution c with free variables zero, and the others are e_t for
+    every t except the last index L where c is nonzero, in order of t; R is
+    invertible because c_L != 0.
     """
     p = system.p
     d = system.d
@@ -173,17 +173,9 @@ def normalize_translation_invariant(
     c = solve_right(system.forms, ones, p)
     if c is None:
         return None
-    cols: list[Vector] = [c]
-    basis = span_basis([c], p, d)
-    for t in range(d):
-        if basis.rank == d:
-            break
-        e_t = tuple(1 if j == t else 0 for j in range(d))
-        extended = basis.extended(e_t)
-        if extended is not basis:
-            basis = extended
-            cols.append(e_t)
-    transform = tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(d))
+    last = max(j for j, x in enumerate(c) if x)  # c != 0, since Ψ·c is all ones
+    cols = [c] + [tuple(1 if j == t else 0 for j in range(d)) for t in range(d) if t != last]
+    transform = tuple(tuple(col[i] for col in cols) for i in range(d))
     return change_of_variables(system, transform), transform
 
 

@@ -8,7 +8,7 @@ import time
 from itertools import combinations, product
 
 from seqcs.analysis import (
-    get_evaluator,
+    LambdaEvaluator,
     gowers_norm,
     gowers_norm_direct,
     gvn_check,
@@ -69,7 +69,7 @@ def test_criterion_01_gowers_progression_bound():
     worst = 0.0
     for k, p, n in product((3, 4), (5, 7), (1, 2)):
         system = phi_system(p, k, 1)
-        evaluator = get_evaluator(system, n)
+        evaluator = LambdaEvaluator(system, n)
         for trial in range(200):
             tables = [
                 random_one_bounded(p, n, [101, k, p, n, trial, j], FAMILIES[(trial + j) % 4])

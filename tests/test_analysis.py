@@ -310,11 +310,7 @@ def test_lambda_chunked_path_matches(monkeypatch):
     tables = [random_one_bounded(5, 1, [92, j], "phases") for j in range(3)]
     full = lambda_average(PHI31, tables)
     monkeypatch.setattr(mod, "_CHUNK", 7)
-    mod._evaluators.clear()  # rebuild the evaluator under the tiny chunk size
-    try:
-        chunked = mod.LambdaEvaluator(PHI31, 1).value(tables)
-    finally:
-        mod._evaluators.clear()
+    chunked = mod.LambdaEvaluator(PHI31, 1).value(tables)
     assert chunked == pytest.approx(full, abs=1e-14)
 
 

@@ -54,6 +54,16 @@ def test_analyze_remark_overall(files, capsys):
     assert report["associated_set"] == [[1, 0], [0, 1], [0, 2], [1, 3], [2, 3], [3, 3]]
 
 
+def test_analyze_table_output(files, capsys):
+    code, text = run(capsys, "analyze", files["phi31"], "--output", "table")
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[:2] == ["config:", "  command: analyze"]
+    for line in ["p: 5", "r: 3", "d: 2", "translation_invariant: True", "  - [1]", "  s_cs: 1",
+                 "    reason: independent", "      - [0, 2]"]:
+        assert line in lines, line
+
+
 def test_analyze_normalizes_once(files, capsys, monkeypatch):
     calls = []
     normalize = systems.normalize_translation_invariant
@@ -624,8 +634,23 @@ def test_reduce_marks_an_unbound_witness(files, capsys, tmp_path):
     (["witness", "--k", "-1"], "k must be >= 0, got -1"),
     (["gvn", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["reduce", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["gvn", "--ell", "0"], "ell must be >= 1, got 0"),
+    (["gvn", "--ell", "-3"], "ell must be >= 1, got -3"),
+    (["gvn", "--k", "0"], "k must be >= 1, got 0"),
+    (["cover", "--max-count", "-1"], "max_count must be >= 0, got -1"),
+    (["reduce", "--max-forms", "-1"], "max_forms must be >= 0, got -1"),
+    (["gvn", "--tol=nan"], "tol must be finite and >= 0, got nan"),
+    (["gvn", "--tol=inf"], "tol must be finite and >= 0, got inf"),
+    (["gvn", "--tol=-inf"], "tol must be finite and >= 0, got -inf"),
+    (["gvn", "--tol=-1e-9"], "tol must be finite and >= 0, got -1e-09"),
+    (["reduce", "--tol=nan"], "tol must be finite and >= 0, got nan"),
+    (["reduce", "--tol=inf"], "tol must be finite and >= 0, got inf"),
+    (["reduce", "--tol=-inf"], "tol must be finite and >= 0, got -inf"),
+    (["reduce", "--tol=-1e-9"], "tol must be finite and >= 0, got -1e-09"),
 ], ids=["gvn-n-0", "gvn-n-neg", "gvn-trials-neg", "gvn-trials-0", "reduce-n-0", "reduce-trials-0", "witness-k-neg",
-        "gvn-seed-neg", "reduce-seed-neg"])
+        "gvn-seed-neg", "reduce-seed-neg", "gvn-ell-0", "gvn-ell-neg", "gvn-k-0", "cover-max-count-neg",
+        "reduce-max-forms-neg", "gvn-tol-nan", "gvn-tol-inf", "gvn-tol-minus-inf", "gvn-tol-neg",
+        "reduce-tol-nan", "reduce-tol-inf", "reduce-tol-minus-inf", "reduce-tol-neg"])
 def test_out_of_range_integer_flags_exit_2_by_name(files, capsys, tmp_path, argv, message):
     command, *flags = argv
     base = {
@@ -633,6 +658,7 @@ def test_out_of_range_integer_flags_exit_2_by_name(files, capsys, tmp_path, argv
         "reduce": ["reduce", files["rem1"], "--witness", write_certificate(capsys, files, tmp_path),
                    "--numeric-check", "--trials", "2"],
         "witness": ["witness", files["phi31"], "--k", "1", "--at", "0"],
+        "cover": ["cover", "--phikm-origin", "--p", "3", "--k", "3", "--M", "2"],
     }[command]
     code = main(base + flags)
     captured = capsys.readouterr()

@@ -24,7 +24,7 @@ from seqcs.field import SpanBasis, Vector, completing_transform, mat_mul, rank, 
 from seqcs.phi_km import phi_system, s_km_points
 from seqcs.systems import LinearSystem, validate
 
-from test_field import affine_oracle, mat_inverse, span_oracle
+from test_field import affine_oracle, extended, mat_inverse, span_oracle
 
 PRIMES = st.sampled_from([3, 5])
 EXAMPLES = settings(max_examples=40)
@@ -186,7 +186,7 @@ def reference_closure_pool(vectors, excluded, p: int, dim: int, node_guard: int 
     seen: dict[frozenset[int], SpanBasis] = {}
     queue: list[frozenset[int]] = []
     for v in vectors:
-        basis = SpanBasis(p, dim).extended(v)
+        basis = extended(SpanBasis(p, dim), v)
         if not admissible(basis):
             continue
         cl = closure_of(basis)
@@ -207,7 +207,7 @@ def reference_closure_pool(vectors, excluded, p: int, dim: int, node_guard: int 
         for j, v in enumerate(vectors):
             if j in cl:
                 continue
-            grown = basis.extended(v)
+            grown = extended(basis, v)
             if not admissible(grown):
                 continue
             extendable = True

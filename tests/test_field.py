@@ -84,15 +84,40 @@ def reference_rref(rows, p):
     return tuple(tuple(r) for r in m), rnk, pivots
 
 
+def extended(basis: SpanBasis, v) -> SpanBasis:
+    """Basis of span(basis ∪ {v}) for v of canonical residues; `basis` itself when v is already inside.
+
+    One new row, cleared from the others at its pivot: the step of the
+    reference oracles `reference_span_basis` and the reference walk.
+    """
+    res = basis.reduce(v)
+    piv = next((j for j, x in enumerate(res) if x), None)
+    if piv is None:
+        return basis
+    p = basis.p
+    inv = pow(res[piv], -1, p)
+    new_row = tuple((x * inv) % p for x in res)
+    rows = [list(r) for r in basis.rows]
+    for r in rows:
+        c = r[piv]
+        if c:
+            for j in range(basis.dim):
+                r[j] = (r[j] - c * new_row[j]) % p
+    rows.append(list(new_row))
+    order = sorted(range(len(rows)), key=lambda i: (basis.pivots + (piv,))[i])
+    pivots = tuple(sorted(basis.pivots + (piv,)))
+    return SpanBasis(p, basis.dim, tuple(tuple(rows[i]) for i in order), pivots)
+
+
 def reference_span_basis(vectors, p, dim):
-    """`span_basis` as the loop of `SpanBasis.extended` it was, kept as an oracle.
+    """`span_basis` as the loop of `extended` it was, kept as an oracle.
 
     `extended` takes canonical residues, so each vector is reduced first (the
     old `extended` did that itself).
     """
     b = SpanBasis(p, dim)
     for v in vectors:
-        b = b.extended(vec(v, p))
+        b = extended(b, vec(v, p))
     return b
 
 

@@ -1,5 +1,5 @@
 """Property tests: the paired U^k recursion against the direct oracle, the batched oracle
-against the loop it replaced, and the byte-capped caches.
+against the loop it replaced, and the byte-capped shift-matrix cache.
 
 The direct oracle sums over every point (x, h_1, ..., h_k), so the recursion
 cases are the groups F_p^n and the orders k in {2, 3, 4} with at most 6·10^6
@@ -25,7 +25,6 @@ from seqcs.analysis import (
     gowers_norm_direct,
     random_one_bounded,
 )
-from seqcs.phi_km import phi_system
 
 log = logging.getLogger(__name__)
 
@@ -180,15 +179,3 @@ def test_shift_cache_stays_within_its_byte_cap(monkeypatch):
         else:
             assert (p, n) not in analysis._shift_cache
     assert (2, 1) not in analysis._shift_cache  # the oldest entries went first
-
-
-def test_evaluator_cache_stays_within_its_byte_cap(monkeypatch):
-    monkeypatch.setattr(analysis, "_evaluators", {})
-    cap = 2000  # phi(p, k, 1) at n = 1 holds p^2 int64 entries per form
-    monkeypatch.setattr(analysis, "_CACHE_BYTE_CAP", cap)
-    systems = [phi_system(p, k, 1) for p, k in product((3, 5, 7), (2, 3, 4))]
-    for system in systems:
-        evaluator = analysis.get_evaluator(system, 1)
-        assert evaluator.system == system
-        assert bytes_held(analysis._evaluators, analysis._evaluator_bytes) <= cap
-    assert len(analysis._evaluators) < len(systems)
