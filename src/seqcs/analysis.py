@@ -23,6 +23,14 @@ it twice when h ≠ −h: Δ_{−h}f(x) = conj(Δ_h f(x − h)), and every U^j p
 average is invariant under translation and conjugation.  It stays exhaustive
 over the remaining shifts, and _BATCH_BUDGET keeps its working arrays
 cache-sized.
+
+The norm checks (`gvn_check`, `reduction.numeric_step_check`) run in trial
+blocks: `_trial_blocks` draws the tuples of consecutive trials into one
+(trials, r, p^n) array of at most _BATCH_BUDGET entries, one trial at least.
+The U^k norms of a block's tables at one position are one `_u_power_batch`
+call, whose row sums may take another path than a lone row's, so a norm
+agrees with `gowers_norm` to roundoff.  Each trial's average is its own
+`LambdaEvaluator.average` call, bit for bit what a lone tuple gets.
 """
 
 from __future__ import annotations
@@ -241,7 +249,9 @@ class LambdaEvaluator:
     grid) are the hot path; they are cached whenever the grid is small enough
     and recomputed per chunk otherwise.  Each norm check (`gvn_check`,
     `reduction.numeric_step_check`, `lambda_average`) builds its own
-    evaluator; none is kept across checks.
+    evaluator; none is kept across checks.  `value` takes FunctionTables and
+    checks them; the trial-block loops call `average` on one trial's rows of
+    a block, unchecked, and get the same bits as `value` on that tuple.
     """
 
     def __init__(self, system: LinearSystem, n: int, point_guard: int = DEFAULT_POINT_GUARD):
@@ -299,13 +309,21 @@ class LambdaEvaluator:
             actions.append(acts)
         return actions
 
-    def value(self, tables, conjugated=None) -> complex:
+    def stack(self, tables) -> np.ndarray:
+        """The tables' values as one (r, p^n) array, after checking their count and group."""
         if len(tables) != self.system.r:
             raise ValueError(f"expected {self.system.r} tables, got {len(tables)}")
         for f in tables:
             if f.p != int(self.system.p) or f.n != self.n:
                 raise ValueError("table group mismatch")
-        flags = conjugated if conjugated is not None else [False] * len(tables)
+        return np.stack([f.values for f in tables])
+
+    def value(self, tables, conjugated=None) -> complex:
+        return self.average(self.stack(tables), conjugated)
+
+    def average(self, rows, conjugated=None) -> complex:
+        """The average for the value rows of one tuple, in form order, unchecked."""
+        flags = conjugated if conjugated is not None else [False] * len(rows)
         reals: list[float] = []
         imags: list[float] = []
         for start in range(0, self.total, _CHUNK):
@@ -316,8 +334,8 @@ class LambdaEvaluator:
                 else self._actions(start, stop)
             )
             prod = np.ones(stop - start, dtype=np.complex128)
-            for i, f in enumerate(tables):
-                gathered = f.values[acts[i]]
+            for i, row in enumerate(rows):
+                gathered = row.take(acts[i])
                 prod *= gathered.conj() if flags[i] else gathered
             s = prod.sum()
             reals.append(float(s.real))
@@ -406,27 +424,38 @@ def _u_power_batch(
     return acc / size
 
 
-def gowers_norm(f: FunctionTable, k: int, point_guard: int = DEFAULT_POINT_GUARD) -> float:
-    """U^k norm (k >= 2) via the multiplicative-derivative recursion.
+def _norm_kernel(p: int, n: int, k: int, point_guard: int = DEFAULT_POINT_GUARD):
+    """The shift matrix and ±h pairs of the U^k recursion on F_p^n, once its
+    arguments pass: k >= 2, n >= 1, k <= UK_CAP and p^n <= point_guard."""
+    if k < 2:
+        raise ValueError("uniformity norm defined here for k >= 2")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if k > UK_CAP:
+        raise EnumerationGuardExceeded(f"k={k} above cap {UK_CAP}")
+    if p**n > point_guard:
+        raise EnumerationGuardExceeded("group too large for norm enumeration")
+    return (shift_matrix(p, n), *_negation_pairs(p, n))
+
+
+def _gowers_rows(rows: np.ndarray, k: int, kernel) -> list[float]:
+    """U^k norm of each row of `rows`, with the `_norm_kernel` of their group.
 
     The 2^k-power average is real and nonnegative in exact arithmetic;
     negative roundoff is clamped to zero before taking the root.
     """
-    if k < 2:
-        raise ValueError("uniformity norm defined here for k >= 2")
-    if f.n < 1:
-        raise ValueError(f"n must be >= 1, got {f.n}")
-    if k > UK_CAP:
-        raise EnumerationGuardExceeded(f"k={k} above cap {UK_CAP}")
-    if f.size > point_guard:
-        raise EnumerationGuardExceeded("group too large for norm enumeration")
-    shift = shift_matrix(f.p, f.n)
-    reps, weights = _negation_pairs(f.p, f.n)
-    raw = float(_u_power_batch(f.values[None, :], k, shift, reps, weights)[0])
-    if raw < 0:
-        log.debug("clamping negative U^%d power average %.3e to 0", k, raw)
-        raw = 0.0
-    return raw ** (1.0 / (1 << k))
+    norms = []
+    for raw in _u_power_batch(rows, k, *kernel).tolist():
+        if raw < 0:
+            log.debug("clamping negative U^%d power average %.3e to 0", k, raw)
+            raw = 0.0
+        norms.append(raw ** (1.0 / (1 << k)))
+    return norms
+
+
+def gowers_norm(f: FunctionTable, k: int, point_guard: int = DEFAULT_POINT_GUARD) -> float:
+    """U^k norm (k >= 2) via the multiplicative-derivative recursion."""
+    return _gowers_rows(f.values[None, :], k, _norm_kernel(f.p, f.n, k, point_guard))[0]
 
 
 def gowers_norm_direct(f: FunctionTable, k: int, point_guard: int = DEFAULT_POINT_GUARD) -> float:
@@ -502,23 +531,42 @@ class GvnReport:
         }
 
 
-def _draw_tuple(system: LinearSystem, n: int, family: str, seed: int, trial: int):
-    """The r tables of one trial, table j drawn from the seed [seed, trial, j].
+def _draw_trials(system: LinearSystem, n: int, family: str, seed: int, start: int, stop: int) -> np.ndarray:
+    """The tuples of trials start, ..., stop - 1 as a (stop - start, r, p^n) array.
 
-    "random" cycles phases, disk, signs, sparse over j, and a TABLE_FAMILIES
-    name draws every table from that family.  "ones" gives r constant tables;
-    "character-lead" draws a character from [seed, trial], then phase tables
-    j = 1, ..., r - 1.
+    Trial t draws its r tables in form order from one generator,
+    default_rng(SeedSequence(seed, spawn_key=(t,))), the t-th child of
+    SeedSequence(seed).spawn.  "random" cycles phases, disk, signs, sparse
+    over the forms, and a TABLE_FAMILIES name draws every table from that
+    family.  "ones" gives constant tables; "character-lead" draws a
+    character, then phase tables.
     """
     p, r = int(system.p), system.r
+    out = np.ones((stop - start, r, p**n), dtype=np.complex128)
     if family == "ones":
-        return [FunctionTable.constant(p, n) for _ in range(r)]
+        return out
     if family == "character-lead":
-        return [random_one_bounded(p, n, [seed, trial], "character")] + [
-            random_one_bounded(p, n, [seed, trial, j]) for j in range(1, r)
-        ]
-    cycle = ("phases", "disk", "signs", "sparse") if family == "random" else (family,)
-    return [random_one_bounded(p, n, [seed, trial, j], cycle[j % len(cycle)]) for j in range(r)]
+        names = ["character"] + ["phases"] * (r - 1)
+    elif family == "random":
+        names = [("phases", "disk", "signs", "sparse")[j % 4] for j in range(r)]
+    elif family in TABLE_FAMILIES:
+        names = [family] * r
+    else:
+        raise ValueError(f"unknown family: {family}")
+    draws = [TABLE_FAMILIES[name] for name in names]
+    for t, tup in enumerate(out, start):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+        for j, draw in enumerate(draws):
+            tup[j] = draw(p, n, rng)
+    return out
+
+
+def _trial_blocks(system: LinearSystem, n: int, family: str, seed: int, trials: int):
+    """`_draw_trials` over trials 0, ..., trials - 1, in blocks of at most
+    _BATCH_BUDGET entries (one trial at least), so memory does not grow with trials."""
+    per_block = max(1, _BATCH_BUDGET // (system.r * int(system.p) ** n))
+    for start in range(0, trials, per_block):
+        yield _draw_trials(system, n, family, seed, start, min(trials, start + per_block))
 
 
 def check_trials(trials: int, seed: int) -> None:
@@ -562,13 +610,13 @@ def gvn_check(
     evaluator = LambdaEvaluator(system, n, point_guard)
     fixed = tables is not None
     n_trials = 1 if fixed else trials
+    blocks = [evaluator.stack(tables)[None]] if fixed else _trial_blocks(system, n, family, seed, trials)
+    kernel = _norm_kernel(int(system.p), n, k + 1, point_guard)
     records = []
-    for t in range(n_trials):
-        tup = tables if fixed else _draw_tuple(system, n, family, seed, t)
-        lam = abs(evaluator.value(tup))
-        norm = gowers_norm(tup[i], k + 1, point_guard)
-        slack = norm**exponent - lam
-        records.append({"abs_lambda": lam, "norm": norm, "slack": slack})
+    for block in blocks:
+        for tup, norm in zip(block, _gowers_rows(block[:, i], k + 1, kernel)):
+            lam = abs(evaluator.average(tup))
+            records.append({"abs_lambda": lam, "norm": norm, "slack": norm**exponent - lam})
     max_violation = max(0.0, -min(rec["slack"] for rec in records))
     return GvnReport(
         system_hash=system.digest(),

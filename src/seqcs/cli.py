@@ -161,6 +161,9 @@ def cmd_verify(args) -> int:
 
 def cmd_reduce(args) -> int:
     analysis.check_tolerance(args.tolerance)
+    if args.n < 1:
+        raise ValueError(f"n must be >= 1, got {args.n}")
+    analysis.check_trials(args.trials, args.seed)
     system = systems.load_system(args.system)
     cert = complexity.WitnessCertificate.load(args.witness)
     head = {"config": _config(args)}
@@ -222,8 +225,14 @@ def cmd_gvn(args) -> int:
     if args.family == "counterexample":
         if args.phi_k is None or args.phi_m is None:
             raise systems.InputValidationError(["--family counterexample needs --phi-k and --phi-M"])
+        if args.ell_family < 1:
+            raise ValueError(f"--ell-family must be >= 1, got {args.ell_family}")
         w = tuple(int(x) for x in args.w.split(",")) if args.w else None
-        tables = phi_km.counterexample_family(int(system.p), args.phi_k, args.phi_m, w, args.ell_family)
+        try:
+            tables = phi_km.counterexample_family(int(system.p), args.phi_k, args.phi_m, w, args.ell_family)
+        except analysis.EnumerationGuardExceeded as exc:  # the product-table guard, which names its level ell
+            detail = str(exc).removeprefix(f"ell = {args.ell_family}: ")
+            raise analysis.EnumerationGuardExceeded(f"--ell-family {args.ell_family}: {detail}") from None
     report_obj = analysis.gvn_check(
         system,
         i,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import DEFAULT_POINT_GUARD, LambdaEvaluator, _draw_tuple, check_trials
+from .analysis import DEFAULT_POINT_GUARD, LambdaEvaluator, _trial_blocks, check_trials
 from .complexity import CoverCertificate, WitnessCertificate, verify_witness
 from .field import Matrix, Vector, apply_completing, completing_transform, span_basis
 from .systems import LinearSystem
@@ -253,21 +253,18 @@ def numeric_step_check(
     """Largest observed |Λ_in|^2 - Re(Λ_out) over random 1-bounded tuples.
 
     Must be <= tolerance for a sound step: the output average dominates the
-    squared input average by the Cauchy-Schwarz inequality.  Each trial's
-    tuple comes from `_draw_tuple`, one table per relabeled position; the
-    output average routes them (with conjugations) through the slot table.
+    squared input average by the Cauchy-Schwarz inequality.  The tuples come
+    from `_trial_blocks`, one table per relabeled position; the output
+    average routes them (with conjugations) through the slot table.
     """
     check_trials(trials, seed)
     in_eval = LambdaEvaluator(step.transformed_system, n, point_guard)
     out_eval = LambdaEvaluator(step.output_system, n, point_guard)
+    out_conj = [s.conjugated for s in step.slots]
     worst = -float("inf")
-    for trial in range(trials):
-        tables = _draw_tuple(step.input_system, n, family, seed, trial)
-        lam_in = in_eval.value(tables)
-        out_tables = [tables[s.source] for s in step.slots]
-        out_conj = [s.conjugated for s in step.slots]
-        lam_out = out_eval.value(out_tables, out_conj)
-        worst = max(worst, abs(lam_in) ** 2 - lam_out.real)
-        if family == "ones":
-            break
+    for block in _trial_blocks(step.input_system, n, family, seed, 1 if family == "ones" else trials):
+        for tup in block:
+            lam_in = in_eval.average(tup)
+            lam_out = out_eval.average([tup[s.source] for s in step.slots], out_conj)
+            worst = max(worst, abs(lam_in) ** 2 - lam_out.real)
     return worst

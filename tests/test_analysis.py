@@ -275,7 +275,7 @@ def test_random_tables_deterministic_and_bounded():
     with pytest.raises(ValueError):
         random_one_bounded(5, 1, 0, "nope")
     with pytest.raises(ValueError, match="unknown family: nope"):
-        analysis._draw_tuple(PHI31, 1, "nope", 0, 0)
+        analysis._draw_trials(PHI31, 1, "nope", 0, 0, 1)
 
 
 def test_gvn_check_progression_families():
@@ -430,30 +430,25 @@ _GVN_FAMILIES = ("phases", "disk", "signs", "sparse")
 
 
 def reference_draw(system, n: int, family: str, seed: int, trial: int):
-    """Oracle of _draw_tuple: the gvn drawer and the numeric step check's own
-    switch ("ones", "character-lead") as they were before the one drawer."""
+    """Oracle of _draw_trials for one trial: the if-chain of families before the
+    registry, every table of trial t from the generator SeedSequence(seed).spawn(t + 1)[t]."""
     p, r = int(system.p), system.r
     if family == "ones":
         return [FunctionTable.constant(p, n) for _ in range(r)]
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(trial + 1)[trial])
     if family == "character-lead":
-        rng = np.random.default_rng([seed, trial])
         freq = [int(rng.integers(0, p)) for _ in range(n)]
-        return [character_table(p, n, freq)] + [
-            reference_one_bounded(p, n, [seed, trial, j], "phases") for j in range(1, r)
-        ]
+        return [character_table(p, n, freq)] + [reference_one_bounded(p, n, rng, "phases") for _ in range(1, r)]
     tables = []
     for j in range(system.r):
-        sub_seed = [seed, trial, j]
         if family == "random":
-            tables.append(reference_one_bounded(p, n, sub_seed, _GVN_FAMILIES[j % len(_GVN_FAMILIES)]))
+            tables.append(reference_one_bounded(p, n, rng, _GVN_FAMILIES[j % len(_GVN_FAMILIES)]))
         elif family in _GVN_FAMILIES:
-            tables.append(reference_one_bounded(p, n, sub_seed, family))
+            tables.append(reference_one_bounded(p, n, rng, family))
         elif family == "character":
-            rng = np.random.default_rng(sub_seed)
             freq = [int(rng.integers(0, p)) for _ in range(n)]
             tables.append(character_table(p, n, freq))
         elif family == "quadratic-phase":
-            rng = np.random.default_rng(sub_seed)
             quad = [[int(rng.integers(0, p)) for _ in range(n)] for _ in range(n)]
             lin = [int(rng.integers(0, p)) for _ in range(n)]
             tables.append(quadratic_table(p, n, quad, lin))
@@ -476,14 +471,73 @@ def test_table_families_are_the_registry_in_order():
     st.sampled_from([2, 3, 5, 7]),
     st.integers(1, 2),
     st.integers(1, 6),
-    st.integers(0, 2**63),
-    st.integers(0, 10**4),
+    st.integers(0, 2**128 - 1),
+    st.integers(0, 64),
 )
-def test_draw_tuple_matches_the_reference_drawer(family, p, n, r, seed, trial):
-    """Every family draws bit for bit the tables of the drawers it replaced, on this machine."""
+def test_draw_trials_matches_the_reference_drawer(family, p, n, r, seed, trial):
+    """Every family draws bit for bit the tables of the reference drawer, on this machine."""
     system = LinearSystem(p, tuple((1, j) for j in range(r)))
-    got = analysis._draw_tuple(system, n, family, seed, trial)
+    got = analysis._draw_trials(system, n, family, seed, trial, trial + 1)
     want = reference_draw(system, n, family, seed, trial)
-    assert len(got) == len(want) == r
-    for j, (a, b) in enumerate(zip(got, want)):
-        assert (a.p, a.n) == (b.p, b.n) and np.array_equal(a.values, b.values), (family, j)
+    assert got.shape == (1, r, p**n) and len(want) == r
+    for j, table in enumerate(want):
+        assert np.array_equal(got[0, j], table.values), (family, j)
+
+
+def test_seed_and_trial_words_do_not_collide():
+    """Under the old [seed, t, j] rule, table 0 of seed 3·2^32 + 5, trial 7 was table 7
+    of seed 5, trial 3 (SeedSequence pads short entropy with zero words).  Now the two
+    trials share no table."""
+    system = LinearSystem(5, tuple((1, j) for j in range(8)))
+    late = analysis._draw_trials(system, 1, "phases", 3 * 2**32 + 5, 7, 8)[0]
+    early = analysis._draw_trials(system, 1, "phases", 5, 3, 4)[0]
+    assert not any(np.array_equal(a, b) for a in late for b in early)
+
+
+REMARK_F7 = validate({"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 3], [1, 2, 3], [1, 3, 3]]})
+
+
+def drawn_tables(system, n, family, seed, trial):
+    rows = analysis._draw_trials(system, n, family, seed, trial, trial + 1)[0]
+    return [FunctionTable(int(system.p), n, row) for row in rows]
+
+
+@pytest.mark.parametrize("system, i, k, ell, n, family", [
+    (PHI31, 0, 1, 1, 2, "random"),
+    (REMARK_F7, 5, 1, 2, 1, "disk"),
+    (REMARK_F7, 0, 2, 1, 1, "character"),
+])
+def test_gvn_trials_equal_one_trial_runs(system, i, k, ell, n, family):
+    """Trial t of a batched run has the Λ of its tuple alone bit for bit, and its norm to 1e-12 relative
+    (the U^k sums of a batch of rows may take the per-shift path where one row does not)."""
+    report = gvn_check(system, i, k, ell, n, family=family, trials=12, seed=3)
+    first = gvn_check(system, i, k, ell, n, family=family, trials=1, seed=3).records[0]
+    assert first["abs_lambda"] == report.records[0]["abs_lambda"]
+    assert first["norm"] == pytest.approx(report.records[0]["norm"], rel=1e-12)
+    for t, rec in enumerate(report.records):
+        tables = drawn_tables(system, n, family, 3, t)
+        assert rec["abs_lambda"] == abs(lambda_average(system, tables))
+        assert rec["norm"] == pytest.approx(gowers_norm(tables[i], k + 1), rel=1e-12)
+
+
+def test_gvn_trial_blocks_match_the_unblocked_run(monkeypatch):
+    whole = gvn_check(REMARK_F7, 5, 2, 2, 1, family="random", trials=20, seed=4).records
+    blocks = []
+    draw = analysis._draw_trials
+    monkeypatch.setattr(analysis, "_draw_trials", lambda *args: blocks.append(args[-2:]) or draw(*args))
+    monkeypatch.setattr(analysis, "_BATCH_BUDGET", 3 * REMARK_F7.r * 7)  # three trials per block
+    blocked = gvn_check(REMARK_F7, 5, 2, 2, 1, family="random", trials=20, seed=4).records
+    assert blocks == [(start, min(start + 3, 20)) for start in range(0, 20, 3)]
+    assert [rec["abs_lambda"] for rec in blocked] == [rec["abs_lambda"] for rec in whole]
+    for a, b in zip(blocked, whole):
+        assert a["norm"] == pytest.approx(b["norm"], rel=1e-12)
+        assert a["slack"] == pytest.approx(b["slack"], abs=1e-12)
+
+
+def test_trial_blocks_hold_at_most_the_budget(monkeypatch):
+    """A block holds at most _BATCH_BUDGET entries, and one trial when a single tuple is larger."""
+    system = LinearSystem(3, tuple((1, j) for j in range(4)))
+    sizes = [block.shape for block in analysis._trial_blocks(system, 2, "signs", 0, 10**4)]
+    assert sizes[0] == (analysis._BATCH_BUDGET // 36, 4, 9) and sum(s[0] for s in sizes) == 10**4
+    monkeypatch.setattr(analysis, "_BATCH_BUDGET", 35)
+    assert [block.shape for block in analysis._trial_blocks(system, 2, "ones", 0, 2)] == [(1, 4, 9)] * 2

@@ -647,16 +647,21 @@ def test_reduce_marks_an_unbound_witness(files, capsys, tmp_path):
     (["reduce", "--tol=inf"], "tol must be finite and >= 0, got inf"),
     (["reduce", "--tol=-inf"], "tol must be finite and >= 0, got -inf"),
     (["reduce", "--tol=-1e-9"], "tol must be finite and >= 0, got -1e-09"),
+    (["reduce-unchecked", "--n", "0"], "n must be >= 1, got 0"),
+    (["reduce-unchecked", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["reduce-unchecked", "--seed", "-1"], "seed must be >= 0, got -1"),
 ], ids=["gvn-n-0", "gvn-n-neg", "gvn-trials-neg", "gvn-trials-0", "reduce-n-0", "reduce-trials-0", "witness-k-neg",
         "gvn-seed-neg", "reduce-seed-neg", "gvn-ell-0", "gvn-ell-neg", "gvn-k-0", "cover-max-count-neg",
         "reduce-max-forms-neg", "gvn-tol-nan", "gvn-tol-inf", "gvn-tol-minus-inf", "gvn-tol-neg",
-        "reduce-tol-nan", "reduce-tol-inf", "reduce-tol-minus-inf", "reduce-tol-neg"])
+        "reduce-tol-nan", "reduce-tol-inf", "reduce-tol-minus-inf", "reduce-tol-neg",
+        "reduce-unchecked-n-0", "reduce-unchecked-trials-0", "reduce-unchecked-seed-neg"])
 def test_out_of_range_integer_flags_exit_2_by_name(files, capsys, tmp_path, argv, message):
     command, *flags = argv
     base = {
         "gvn": ["gvn", "--system", files["phi31"], "--at", "0", "--k", "1", "--ell", "1", "--trials", "2"],
         "reduce": ["reduce", files["rem1"], "--witness", write_certificate(capsys, files, tmp_path),
                    "--numeric-check", "--trials", "2"],
+        "reduce-unchecked": ["reduce", files["rem1"], "--witness", write_certificate(capsys, files, tmp_path)],
         "witness": ["witness", files["phi31"], "--k", "1", "--at", "0"],
         "cover": ["cover", "--phikm-origin", "--p", "3", "--k", "3", "--M", "2"],
     }[command]
@@ -682,6 +687,19 @@ def test_command_input_errors_exit_2_through_main(files, capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == message + "\n"
+
+
+@pytest.mark.parametrize("level, message", [
+    ("0", "--ell-family must be >= 1, got 0"),
+    ("40", "--ell-family 40: the product table would have p^(n·ell) = 3^80 entries, above the guard 100000000"),
+])
+def test_ell_family_out_of_range_is_named(tmp_path, capsys, level, message):
+    phi342 = tmp_path / "phi342.json"
+    phi342.write_text(json.dumps(phi_system(3, 4, 2).to_json()))
+    code = main(["gvn", "--system", str(phi342), "--at-origin", "--k", "2", "--ell", "8", "--n", "2",
+                 "--family", "counterexample", "--phi-k", "4", "--phi-M", "2", "--ell-family", level])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_contract_fuzzer(tmp_path, capsys):

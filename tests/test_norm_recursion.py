@@ -58,6 +58,27 @@ def test_recursion_matches_direct_oracle(case, family, seed):
         assert gowers_norm(f, k) == pytest.approx(oracle, abs=1e-12)
 
 
+@settings(EXAMPLES, max_examples=20)
+@given(
+    case=st.sampled_from(CASES),
+    rows=st.integers(2, 3),
+    path=st.sampled_from(["at-once", "top-at-once", "per-shift"]),
+    seed=st.integers(0, 2**16),
+)
+def test_batch_rows_match_direct_oracle(case, rows, path, seed):
+    """Each row of a multi-row batch gets its own norm, with all shifts at once at every
+    level, at the top level only, or one shift at a time at every level."""
+    p, n, k = case
+    tables = [random_one_bounded(p, n, [seed, j], FAMILIES[j % 4]) for j in range(rows)]
+    kernel = analysis._norm_kernel(p, n, k)
+    budget = {"at-once": analysis._BATCH_BUDGET, "top-at-once": rows * len(kernel[1]) * p**n, "per-shift": 16}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_BATCH_BUDGET", budget[path])
+        norms = analysis._gowers_rows(np.stack([f.values for f in tables]), k, kernel)
+    for f, norm in zip(tables, norms):
+        assert norm == pytest.approx(gowers_norm_direct(f, k), abs=1e-12)
+
+
 def reference_gowers_norm_direct(f: FunctionTable, k: int, point_guard: int = DEFAULT_POINT_GUARD) -> float:
     """The loop oracle that the batched gowers_norm_direct replaced, kept verbatim."""
     if k < 1:

@@ -1,5 +1,7 @@
 import pytest
 
+import seqcs.analysis as analysis
+from seqcs.analysis import FunctionTable, lambda_average
 from seqcs.complexity import WitnessCertificate, admissible_cover, sequential_witness, verify_witness
 from seqcs.phi_km import phi_system, phi_witness_certificate, s_km_points
 from seqcs.reduction import (
@@ -276,3 +278,20 @@ def test_corrupted_propagated_witness_raises_consistency_alarm(monkeypatch, case
         args = (phi_system(3, 4, 2), phi_witness_certificate(3, 4, 2), 20)
     with pytest.raises(AssertionError, match="internal consistency alarm"):
         build_chain(*args)
+
+
+def test_numeric_step_check_is_the_worst_single_trial(monkeypatch):
+    """The batched check returns bit for bit the worst of its trials taken one tuple at a
+    time, in one block or in blocks of two trials."""
+    step = cs_step(REMARK_F7, remark_witness())
+    conj = [s.conjugated for s in step.slots]
+    singles = []
+    for t in range(9):
+        rows = analysis._draw_trials(step.input_system, 1, "random", 2, t, t + 1)[0]
+        tables = [FunctionTable(7, 1, row) for row in rows]
+        lam_in = lambda_average(step.transformed_system, tables)
+        lam_out = lambda_average(step.output_system, [tables[s.source] for s in step.slots], conj)
+        singles.append(abs(lam_in) ** 2 - lam_out.real)
+    assert numeric_step_check(step, n=1, trials=9, seed=2, family="random") == max(singles)
+    monkeypatch.setattr(analysis, "_BATCH_BUDGET", 2 * step.input_system.r * 7)
+    assert numeric_step_check(step, n=1, trials=9, seed=2, family="random") == max(singles)
