@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -508,27 +508,14 @@ class GvnReport:
     family: str
     trials: int
     seed: int
-    tol: float
+    tolerance: float
     records: list[dict]
     max_violation: float
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "system_hash": self.system_hash,
-            "i": self.i,
-            "k": self.k,
-            "ell": self.ell,
-            "n": self.n,
-            "exponent": self.exponent,
-            "family": self.family,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tolerance": self.tol,
-            "records": self.records,
-            "max_violation": self.max_violation,
-            "passed": self.passed,
-        }
+        # `asdict` without its deep copy, which costs about 1 ms on a 100-trial report
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _draw_trials(system: LinearSystem, n: int, family: str, seed: int, start: int, stop: int) -> np.ndarray:
@@ -628,7 +615,7 @@ def gvn_check(
         family="fixed" if fixed else family,
         trials=n_trials,
         seed=seed,
-        tol=tol,
+        tolerance=tol,
         records=records,
         max_violation=max_violation,
         passed=max_violation <= tol,

@@ -1,10 +1,12 @@
 """Command-line surface: analysis, certificates, reductions, covers, norm checks.
 
-Every command embeds its full run configuration (including seeds, tolerances
-and size guards) in the report, so any emitted report can be reproduced
+Each `cmd_*` returns its report body and exit code; `main` alone writes the
+report, with the full run configuration (including seeds, tolerances and size
+guards) first under `config`, so any emitted report can be reproduced
 bit-for-bit by re-running the embedded config.  Exit codes: 0 success/pass,
 1 negative-but-valid result (infeasible, none found, verification fail,
-inequality violation), 2 input error.
+inequality violation), 2 input error.  A run that exits 0 or 1 writes exactly
+one report; a run that exits 2 writes none and says why on stderr.
 
 JSON reports are written by `_json_text`, which gives the same bytes as
 `json.dumps(report, indent=1)` but joins each flat list of plain ints (the
@@ -102,12 +104,11 @@ def _checked_at(at: int, system) -> int:
     return at
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[dict, int]:
     system = systems.load_system(args.system)
     flags = systems.system_flags(system)
     normalized = systems.normalize_translation_invariant(system)
     report = {
-        "config": _config(args),
         "p": int(system.p),
         "r": system.r,
         "d": system.d,
@@ -119,65 +120,48 @@ def cmd_analyze(args) -> int:
         report["associated_set"] = [list(pt) for pt in points.points]
     comp = complexity.complexity_report(system, args.k_max, args.node_guard)
     report["complexity"] = comp.to_json()
-    _emit(report, args)
-    return 0
+    return report, 0
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> tuple[dict, int]:
     system = systems.load_system(args.system)
     targets = list(range(system.r)) if args.at is None else [_checked_at(args.at, system)]
     results = []
-    missing = 0
     for i in targets:
         cert = complexity.sequential_witness(system, i, args.k, args.max_len, args.node_guard)
         if cert is None:
-            missing += 1
             results.append({"i": i, "found": False})
         else:
             results.append({"i": i, "found": True, "length": cert.length, "certificate": cert.to_json()})
-    report = {
-        "config": _config(args),
-        "results": results,
-        "all_found": missing == 0,
-    }
-    _emit(report, args)
-    return 0 if missing == 0 else 1
+    all_found = all(res["found"] for res in results)
+    return {"results": results, "all_found": all_found}, 0 if all_found else 1
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     system = systems.load_system(args.system)
     cert = complexity.WitnessCertificate.load(args.certificate)
     result = complexity.verify_witness(system, cert)
     verdict = result.to_json()
     if not cert.system_hash:
         verdict["unbound"] = True  # no hash: nothing tied the certificate to this system
-    report = {
-        "config": _config(args),
-        "verdict": verdict,
-    }
-    _emit(report, args)
-    return 0 if result.passed else 1
+    return {"verdict": verdict}, 0 if result.passed else 1
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[dict, int]:
     analysis.check_tolerance(args.tolerance)
     if args.n < 1:
         raise ValueError(f"n must be >= 1, got {args.n}")
     analysis.check_trials(args.trials, args.seed)
     system = systems.load_system(args.system)
     cert = complexity.WitnessCertificate.load(args.witness)
-    head = {"config": _config(args)}
-    if not cert.system_hash:
-        head["unbound"] = True  # no hash: nothing tied the witness to this system
+    head = {} if cert.system_hash else {"unbound": True}  # no hash: nothing tied the witness to this system
     try:
         chain = reduction.build_chain(system, cert, max_forms=args.max_forms)
     except reduction.InvalidWitness as exc:
-        _emit({**head, "error": str(exc)}, args)
-        return 1
+        return {**head, "error": str(exc)}, 1
     except reduction.ConsistencyAlarm as exc:
-        _emit({**head, "alarm": str(exc)}, args)
         print(exc, file=sys.stderr)
-        return 1
+        return {**head, "alarm": str(exc)}, 1
     report = {
         **head,
         "steps": len(chain.steps),
@@ -204,15 +188,11 @@ def cmd_reduce(args) -> int:
             report["numeric_max_violation"] = violation
         if skipped:
             report["numeric_skipped"] = skipped
-    _emit(report, args)
-    if chain.truncated:
-        return 1
-    if violation is not None and violation > args.tolerance:
-        return 1
-    return 0
+    failed = chain.truncated or (violation is not None and violation > args.tolerance)
+    return report, 1 if failed else 0
 
 
-def cmd_gvn(args) -> int:
+def cmd_gvn(args) -> tuple[dict, int]:
     system = systems.load_system(args.system)
     if args.at_origin:
         origin = (1,) + (0,) * (system.d - 1)
@@ -246,19 +226,13 @@ def cmd_gvn(args) -> int:
         tol=args.tolerance,
         point_guard=args.point_guard,
     )
-    report = {
-        "config": _config(args),
-        "report": report_obj.to_json(),
-    }
-    _emit(report, args)
-    return 0 if report_obj.passed else 1
+    return {"report": report_obj.to_json()}, 0 if report_obj.passed else 1
 
 
-def cmd_phikm(args) -> int:
+def cmd_phikm(args) -> tuple[dict, int]:
     system = phi_km.phi_system(args.p, args.k, args.M)
     points = phi_km.s_km_points(args.p, args.k, args.M)
     report = {
-        "config": _config(args),
         "p": args.p,
         "forms": system.r,
         "points": [list(z) for z in points],
@@ -291,11 +265,10 @@ def cmd_phikm(args) -> int:
             if not verdict.passed:
                 report["witness"]["failures"] = verdict.failures
                 exit_code = 1
-    _emit(report, args)
-    return exit_code
+    return report, exit_code
 
 
-def cmd_cover(args) -> int:
+def cmd_cover(args) -> tuple[dict, int]:
     if args.points and (args.phikm_origin or (args.p, args.k, args.M) != (None, None, None)):
         raise systems.InputValidationError(
             ["a point-set file gives p and M itself; it takes none of --phikm-origin, --p, --k, --M"]
@@ -316,31 +289,23 @@ def cmd_cover(args) -> int:
     result = covering.min_cover_excluding(
         p, m, points, excluded, mode=args.mode, max_count=args.max_count, node_guard=args.node_guard
     )
-    report = {"config": _config(args)}
     if result is None:
-        report["feasible"] = False
-        _emit(report, args)
-        return 1
+        return {"feasible": False}, 1
     count, cover = result
     verdict = covering.verify_cover(cover)
-    report.update({"feasible": True, "minimum": count, "cover": cover.to_json(), "verified": verdict["passed"]})
-    _emit(report, args)
-    return 0 if verdict["passed"] else 1
+    report = {"feasible": True, "minimum": count, "cover": cover.to_json(), "verified": verdict["passed"]}
+    return report, 0 if verdict["passed"] else 1
 
 
-def cmd_gowers(args) -> int:
+def cmd_gowers(args) -> tuple[dict, int]:
     with open(args.function, "r", encoding="utf-8") as fh:
         table = analysis.FunctionTable.from_json(json.load(fh))
     value = analysis.gowers_norm(table, args.k, args.point_guard)
-    report = {
-        "config": _config(args),
-        "norm": value,
-    }
+    report = {"norm": value}
     if args.direct:
         report["direct"] = analysis.gowers_norm_direct(table, args.k, args.point_guard)
         report["difference"] = abs(report["direct"] - value)
-    _emit(report, args)
-    return 0
+    return report, 0
 
 
 def _add_common(sub):
@@ -451,8 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (systems.InputValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+        body, code = args.func(args)
+        _emit({"config": _config(args), **body}, args)
+        return code
+    except (systems.InputValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, analysis.EnumerationGuardExceeded, SearchGuardExceeded) as exc:

@@ -245,7 +245,7 @@ def sequential_witness(
             prefix.pop()
         return None
 
-    for ell in range(1, max_len + 1):
+    for ell in range(1, min(max_len, r) + 1):  # distinct forms: no sequence is longer than r
         seq = dfs([], ell)
         if seq is not None:
             covers = tuple(

@@ -25,19 +25,37 @@ Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
 
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least number that is a strong pseudoprime to every base above
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division (desk-scale moduli)."""
+    """Deterministic Miller-Rabin test on the prime bases 2, ..., 41.
+
+    Exact for every n < PRIME_BOUND (about 3.3e24); a larger n raises
+    ValueError naming it, since the test could not decide it.
+    """
+    if n >= PRIME_BOUND:
+        raise ValueError(f"modulus {n} is not below {PRIME_BOUND}, the bound of the exact primality test")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESS_BASES:
+        if n % a == 0:
+            return n == a
+    m = n - 1
+    s = (m & -m).bit_length() - 1  # m = d * 2^s with d odd
+    d = m >> s
+    for a in _WITNESS_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -291,7 +291,9 @@ def test_gvn_check_progression_families():
 def test_gvn_report_serializes():
     report = gvn_check(PHI31, 0, 1, 1, 1, trials=3, seed=0)
     blob = report.to_json()
-    assert blob["trials"] == 3 and blob["passed"] is True
+    assert list(blob) == ["system_hash", "i", "k", "ell", "n", "exponent", "family", "trials", "seed", "tolerance",
+                          "records", "max_violation", "passed"]
+    assert blob["trials"] == 3 and blob["passed"] is True and blob["tolerance"] == 1e-9
     assert all("slack" in rec for rec in blob["records"])
 
 

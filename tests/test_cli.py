@@ -18,6 +18,9 @@ PHI31 = {"p": 5, "forms": [[1, 0], [1, 1], [1, 2]]}
 REMARK_F7 = {"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 3], [1, 2, 3], [1, 3, 3]]}
 REMARK_F23 = {"p": 23, "forms": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 10, 1], [1, 1, 2], [1, 2, 2]]}
 PHI562 = phi_system(5, 6, 2).to_json()
+# a length-1 certificate for REMARK_F7 whose only part spans the excluded target form
+UNVERIFIED_CERTIFICATE = {"system_hash": "", "i": 0, "k": 1, "sequence": [0],
+                          "covers": [{"targets": [0], "parts": [[1, 2, 3, 4, 5]]}]}
 
 
 @pytest.fixture
@@ -404,28 +407,40 @@ def replay_argv(config):
 
 def test_reports_are_reproducible(files, capsys, tmp_path):
     cert_path = write_certificate(capsys, files, tmp_path)
+    mutated = json.loads(Path(cert_path).read_text())
+    mutated["covers"][1]["parts"][0] = mutated["covers"][1]["parts"][0][1:]
+    mutated_path = tmp_path / "mutated.json"
+    mutated_path.write_text(json.dumps(mutated))
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(UNVERIFIED_CERTIFICATE))
     phi342 = tmp_path / "phi342.json"
     phi342.write_text(json.dumps(phi_system(3, 4, 2).to_json()))
     fn_path = tmp_path / "f.json"
     fn_path.write_text(json.dumps(quadratic_table(5, 1, [[1]]).to_json()))
     cases = [
-        ["analyze", files["rem1"], "--k-max", "3", "--node-guard", "100000"],
-        ["witness", files["rem1"], "--k", "1", "--at", "5", "--max-len", "2", "--node-guard", "100000"],
-        ["verify", cert_path, files["rem1"]],
-        ["reduce", files["rem1"], "--witness", cert_path, "--max-forms", "64", "--numeric-check",
-         "--trials", "3", "--seed", "4", "--tol", "1e-8", "--point-guard", "1000000"],
-        ["gvn", "--system", files["phi31"], "--at", "0", "--k", "1", "--ell", "1", "--trials", "10", "--seed", "9"],
-        ["gvn", "--system", str(phi342), "--at-origin", "--k", "2", "--ell", "8", "--n", "4",
-         "--family", "counterexample", "--phi-k", "4", "--phi-M", "2", "--ell-family", "2"],
-        ["phikm", "--p", "3", "--k", "4", "--M", "2", "--witness", "--verify", "--at", "2,1",
-         "--system-out", str(tmp_path / "sys.json"), "--cert-out", str(tmp_path / "cert-out.json")],
-        ["cover", "--phikm-origin", "--p", "3", "--k", "4", "--M", "2", "--max-count", "5", "--node-guard", "100000"],
-        ["cover", "--phikm-origin", "--p", "3", "--k", "4", "--M", "2", "--hyperplanes-only"],
-        ["gowers", str(fn_path), "--k", "2", "--direct", "--point-guard", "1000"],
+        (["analyze", files["rem1"], "--k-max", "3", "--node-guard", "100000"], 0),
+        (["witness", files["rem1"], "--k", "1", "--at", "5", "--max-len", "2", "--node-guard", "100000"], 0),
+        (["witness", files["phi31"], "--k", "0", "--max-len", "3"], 1),  # no witness found
+        (["verify", cert_path, files["rem1"]], 0),
+        (["verify", str(mutated_path), files["rem1"]], 1),
+        (["reduce", files["rem1"], "--witness", cert_path, "--max-forms", "64", "--numeric-check",
+          "--trials", "3", "--seed", "4", "--tol", "1e-8", "--point-guard", "1000000"], 0),
+        (["reduce", files["rem1"], "--witness", str(bad_path), "--max-forms", "64"], 1),  # an error report
+        (["reduce", files["rem1"], "--witness", cert_path, "--max-forms", "8"], 1),  # truncated
+        (["gvn", "--system", files["phi31"], "--at", "0", "--k", "1", "--ell", "1", "--trials", "10", "--seed", "9"], 0),
+        (["gvn", "--system", str(phi342), "--at-origin", "--k", "2", "--ell", "8", "--n", "4",
+          "--family", "counterexample", "--phi-k", "4", "--phi-M", "2", "--ell-family", "2"], 0),
+        (["phikm", "--p", "3", "--k", "4", "--M", "2", "--witness", "--verify", "--at", "2,1",
+          "--system-out", str(tmp_path / "sys.json"), "--cert-out", str(tmp_path / "cert-out.json")], 0),
+        (["cover", "--phikm-origin", "--p", "3", "--k", "4", "--M", "2", "--max-count", "5", "--node-guard", "100000"], 0),
+        (["cover", "--phikm-origin", "--p", "3", "--k", "4", "--M", "2", "--max-count", "1"], 1),  # infeasible
+        (["cover", "--phikm-origin", "--p", "3", "--k", "4", "--M", "2", "--hyperplanes-only"], 0),
+        (["gowers", str(fn_path), "--k", "2", "--direct", "--point-guard", "1000"], 0),
     ]
-    for argv in cases:
+    for argv, expected in cases:
         code = main(argv)
         out = capsys.readouterr().out
+        assert code == expected, argv
         replayed = replay_argv(json.loads(out)["config"])
         assert (main(replayed), capsys.readouterr().out) == (code, out), argv
 
@@ -447,16 +462,8 @@ def write_certificate(capsys, files, tmp_path):
 
 
 def test_reduce_rejects_an_unverified_base_certificate(files, capsys, tmp_path):
-    # a length-1 certificate whose only part spans the excluded target form
-    bad = {
-        "system_hash": "",
-        "i": 0,
-        "k": 1,
-        "sequence": [0],
-        "covers": [{"targets": [0], "parts": [[1, 2, 3, 4, 5]]}],
-    }
     cert_path = tmp_path / "bad.json"
-    cert_path.write_text(json.dumps(bad))
+    cert_path.write_text(json.dumps(UNVERIFIED_CERTIFICATE))
     code, report = run(capsys, "verify", str(cert_path), files["rem1"])
     assert code == 1 and report["verdict"]["passed"] is False
     code, report = run(capsys, "reduce", files["rem1"], "--witness", str(cert_path))
@@ -570,10 +577,8 @@ def test_report_writer_matches_json_dumps(obj):
 
 
 def test_reduce_error_report_carries_the_full_config(files, capsys, tmp_path):
-    # the length-1 F_7 certificate of test_reduce_rejects_an_unverified_base_certificate
-    bad = {"system_hash": "", "i": 0, "k": 1, "sequence": [0], "covers": [{"targets": [0], "parts": [[1, 2, 3, 4, 5]]}]}
     cert_path = tmp_path / "bad.json"
-    cert_path.write_text(json.dumps(bad))
+    cert_path.write_text(json.dumps(UNVERIFIED_CERTIFICATE))
     code, report = run(capsys, "reduce", files["rem1"], "--witness", str(cert_path), "--max-forms", "64")
     assert code == 1 and "error" in report
     config = report["config"]
@@ -616,9 +621,7 @@ def test_reduce_marks_an_unbound_witness(files, capsys, tmp_path):
     assert code == 0 and report["steps"] == 1
     assert report["unbound"] is True
 
-    # the bad length-1 certificate of test_reduce_rejects_an_unverified_base_certificate
-    bad = {"system_hash": "", "i": 0, "k": 1, "sequence": [0], "covers": [{"targets": [0], "parts": [[1, 2, 3, 4, 5]]}]}
-    Path(cert_path).write_text(json.dumps(bad))
+    Path(cert_path).write_text(json.dumps(UNVERIFIED_CERTIFICATE))
     code, report = run(capsys, "reduce", files["rem1"], "--witness", cert_path)
     assert code == 1 and "error" in report
     assert report["unbound"] is True
@@ -702,31 +705,19 @@ def test_ell_family_out_of_range_is_named(tmp_path, capsys, level, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_contract_fuzzer(tmp_path, capsys):
-    """Every subcommand, with each integer option at -1, 0 and 1 and each input
-    file empty, truncated, `[]` or `3`, exits 0, 1 or 2 without a traceback.
-
-    The valid inputs are tiny and made from phi(3,3,1).  Each command that
-    takes `--M` is also run at `--M 1000000`, `gvn` at `--n 1000000`,
-    `--n 1000000000` and `--ell-family 1000000`, and `cover --hyperplanes-only`
-    on a one-point file in F_3^30, on the (3,2,25) simplex and on the
-    (3,21,10) simplex (29 524 normals times 59 049 points), where only a size
-    guard can stop it: it must exit 2 without a traceback within one second."""
+def contract_inputs(tmp_path):
+    """Tiny valid input files made from phi(3,3,1), by kind, and a run of every
+    subcommand on them."""
     texts = {
         "system": json.dumps(phi_system(3, 3, 1).to_json()),
         "certificate": json.dumps(phi_witness_certificate(3, 3, 1).to_json()),
         "function": json.dumps(FunctionTable.constant(3, 1).to_json()),
         "points": json.dumps({"p": 3, "M": 1, "points": [[1], [2]], "excluded": [[0]]}),
     }
-    inputs, broken = {}, {}
+    inputs = {}
     for name, text in texts.items():
         inputs[name] = str(tmp_path / f"{name}.json")
         Path(inputs[name]).write_text(text)
-        broken[inputs[name]] = []
-        for label, content in [("empty", ""), ("truncated", text[: len(text) // 2]), ("list", "[]"), ("int", "3")]:
-            path = tmp_path / f"{name}-{label}.json"
-            path.write_text(content)
-            broken[inputs[name]].append(str(path))
     system, certificate, function, points = inputs.values()
     bases = [
         ["analyze", system],
@@ -741,8 +732,34 @@ def test_contract_fuzzer(tmp_path, capsys):
         ["cover", points],
         ["gowers", function, "--k", "2", "--direct"],
     ]
+    assert {base[0] for base in bases} == set(subcommand_parsers())
+    return inputs, bases
+
+
+def test_contract_fuzzer(tmp_path, capsys):
+    """Every subcommand, with each integer option at -1, 0 and 1 and each input
+    file empty, truncated, `[]` or `3`, exits 0, 1 or 2 without a traceback.
+
+    The valid inputs are tiny and made from phi(3,3,1).  The bounded runs
+    below must exit with the code given within one second, where only a size
+    guard, a bound on the search or a fast primality test can stop them: each
+    command that takes `--M` at `--M 1000000`, `gvn` at `--n 1000000`,
+    `--n 1000000000` and `--ell-family 1000000`, `cover --hyperplanes-only` on
+    a one-point file in F_3^30, on the (3,2,25) simplex and on the (3,21,10)
+    simplex (29 524 normals times 59 049 points), `witness` at
+    `--max-len 1000000000` where no witness exists, and every input that gives
+    a modulus, at the prime 2^61 - 1 and at the prime 2^89 - 1, which is past
+    the bound of the primality test."""
+    inputs, bases = contract_inputs(tmp_path)
+    broken = {}
+    for name, path in inputs.items():
+        text = Path(path).read_text()
+        broken[path] = []
+        for label, content in [("empty", ""), ("truncated", text[: len(text) // 2]), ("list", "[]"), ("int", "3")]:
+            bad = tmp_path / f"{name}-{label}.json"
+            bad.write_text(content)
+            broken[path].append(str(bad))
     parsers = subcommand_parsers()
-    assert {base[0] for base in bases} == set(parsers)
     cases = []
     for base in bases:
         options = [a.option_strings[0] for a in parsers[base[0]]._actions if a.type is int]
@@ -759,13 +776,27 @@ def test_contract_fuzzer(tmp_path, capsys):
     huge += [["cover", wide, "--hyperplanes-only"],
              ["cover", "--phikm-origin", "--p", "3", "--k", "2", "--M", "25", "--hyperplanes-only"],
              ["cover", "--phikm-origin", "--p", "3", "--k", "21", "--M", "10", "--hyperplanes-only"]]
+    bounded = [(argv, 2) for argv in huge]
+    bounded.append((["witness", inputs["system"], "--k", "0", "--max-len", "1000000000", "--at", "0"], 1))
+    for p, code in [(2**61 - 1, 0), (2**89 - 1, 2)]:
+        moduli = {}
+        for name in ("system", "points", "function"):
+            moduli[name] = str(tmp_path / f"{name}-p{p.bit_length()}.json")
+            Path(moduli[name]).write_text(json.dumps({**json.loads(Path(inputs[name]).read_text()), "p": p}))
+        bounded += [
+            (["analyze", moduli["system"]], code),
+            (["cover", moduli["points"]], code),
+            (["gowers", moduli["function"], "--k", "2"], 2),  # three values are not p^1 of them
+            (["phikm", "--p", str(p), "--k", "3", "--M", "1", "--witness", "--verify"], code),
+            (["cover", "--phikm-origin", "--p", str(p), "--k", "3", "--M", "1"], code),
+        ]
 
     def overdue(signum, frame):
         raise TimeoutError("no exit within one second")
 
     failures = []
-    for argv in cases + huge:
-        limit = 1.0 if argv in huge else 0.0  # 0 sets no alarm
+    for argv, expected in [(argv, None) for argv in cases] + bounded:
+        limit = 0.0 if expected is None else 1.0  # 0 sets no alarm
         previous = signal.signal(signal.SIGALRM, overdue)
         signal.setitimer(signal.ITIMER_REAL, limit)
         started = time.perf_counter()
@@ -780,6 +811,23 @@ def test_contract_fuzzer(tmp_path, capsys):
             signal.signal(signal.SIGALRM, previous)
         elapsed = time.perf_counter() - started
         err = capsys.readouterr().err
-        if code not in (0, 1, 2) or "Traceback" in err or (argv in huge and (code != 2 or elapsed >= limit)):
+        if code not in (0, 1, 2) or "Traceback" in err or (expected is not None and (code != expected or elapsed >= limit)):
             failures.append((argv, code, err[-200:]))
     assert not failures
+
+
+def test_directories_are_input_errors(tmp_path, capsys):
+    """A directory in place of any input or output file exits 2 with no report and no traceback."""
+    inputs, bases = contract_inputs(tmp_path)
+    directory = str(tmp_path)
+    cases = [base[:at] + [directory] + base[at + 1:]
+             for base in bases for at, arg in enumerate(base) if arg in inputs.values()]
+    assert {argv[0] for argv in cases} == {"analyze", "witness", "verify", "reduce", "gvn", "cover", "gowers"}
+    cases += [base + ["--out", directory] for base in bases]
+    phikm = next(base for base in bases if base[0] == "phikm")
+    cases += [phikm + ["--system-out", directory], phikm + ["--cert-out", directory]]
+    for argv in cases:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err.startswith("input error: ") and "Traceback" not in captured.err, argv

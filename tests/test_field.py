@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from seqcs.covering import AffineSubspace
 from seqcs.field import (
+    PRIME_BOUND,
     Matrix,
     SpanBasis,
     apply_completing,
@@ -181,11 +182,44 @@ def test_membership_answers_do_not_depend_on_representatives(instance):
     assert sub.contains(far_v) == sub.contains(v) == in_affine_span(v, vectors, p)
 
 
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trial division: the oracle for `is_prime` on small n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def test_prime_check():
     assert is_prime(2) and is_prime(23) and is_prime(97)
     assert not is_prime(1) and not is_prime(4) and not is_prime(91)
     with pytest.raises(ValueError):
         Prime(6)
+
+
+def test_prime_check_matches_trial_division():
+    assert [n for n in range(-3, 10**5) if is_prime(n) != trial_division_is_prime(n)] == []
+
+
+@pytest.mark.parametrize("n, prime", [
+    (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5 and 7
+    (3825123056546413051, False),  # strong pseudoprime to every prime base up to 23
+    (2**61 - 1, True),
+    (2**31 - 1, True),
+    (PRIME_BOUND - 1, False),
+])
+def test_prime_check_on_large_moduli(n, prime):
+    assert is_prime(n) is prime
+
+
+@pytest.mark.parametrize("n", [PRIME_BOUND, 2**89 - 1])
+def test_moduli_past_the_prime_bound_are_refused_by_name(n):
+    with pytest.raises(ValueError, match=f"modulus {n} is not below {PRIME_BOUND}"):
+        is_prime(n)
 
 
 def test_rref_identity():
