@@ -20,9 +20,14 @@ moves the pairwise rounding and can change the last bits.
 
 The U^k recursion derives along one shift h of each pair {h, −h} and counts
 it twice when h ≠ −h: Δ_{−h}f(x) = conj(Δ_h f(x − h)), and every U^j power
-average is invariant under translation and conjugation.  It stays exhaustive
-over the remaining shifts, and _BATCH_BUDGET keeps its working arrays
-cache-sized.
+average is invariant under translation and conjugation.  The leaf value
+|E_x Δ_{h_1}…Δ_{h_m} f(x)|² (m = k − 1) is symmetric in the shifts, so the
+recursion sums over nondecreasing tuples of representatives only, each
+weighted by its number of orderings m!/∏c! (c the lengths of its runs of
+equal shifts) times its pair weights; these integer weights add up to
+(p^n)^m exactly.  It walks the tuples depth first, and _BATCH_BUDGET keeps
+every working array cache-sized.  Its sums over x are einsum reductions
+(numpy's own loops, no BLAS), so their order is fixed for a given array shape.
 
 The norm checks (`gvn_check`, `reduction.numeric_step_check`) run in trial
 blocks: `_trial_blocks` draws the tuples of consecutive trials into one
@@ -49,7 +54,7 @@ log = logging.getLogger(__name__)
 DEFAULT_POINT_GUARD = 10**8
 UK_CAP = 8
 _CHUNK = 1 << 18
-_BATCH_BUDGET = 1 << 18
+_BATCH_BUDGET = 1 << 15
 _TABLE_BUDGET = 1 << 18
 _CACHE_BYTE_CAP = 256 << 20
 
@@ -396,32 +401,94 @@ def _negation_pairs(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(p**n, dtype=np.int64)
     neg = encode_point([-x for x in digit_matrix(idx, p, n)], p)
     reps = idx[idx <= neg]
-    return reps, np.where(reps == neg[reps], 1.0, 2.0)
+    return reps, np.where(reps == neg[reps], 1, 2)
+
+
+def _segments(last: np.ndarray, end: int, cap: int):
+    """Blocks (a, b, count): the first `count` prefixes times the rep indices a..b-1.
+
+    `last` holds the last index of each prefix, nondecreasing, so the prefixes
+    that index j extends (last <= j) are the first parents[j].  A block takes
+    the indices a..b-1 with the prefixes of b-1.  Its pairs with j < last are
+    dropped by the caller: they cost work but save calls, so a block is widened
+    only while it holds at most `cap` pairs and at least half of them are kept.
+    A chunk holds at most `cap` prefixes, so one index always fits.
+    """
+    parents = np.searchsorted(last, np.arange(end), side="right").tolist()
+    a = int(last[0])
+    while a < end:
+        b, kept = a + 1, parents[a]
+        while b < end and parents[b] * (b + 1 - a) <= min(cap, 2 * (kept + parents[b])):
+            kept += parents[b]
+            b += 1
+        yield a, b, parents[b - 1]
+        a = b
 
 
 def _u_power_batch(
     batch: np.ndarray, k: int, shift: np.ndarray, reps: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """‖g‖_{U^k}^{2^k} for each row g of `batch` via the derivative recursion.
+    """‖g‖_{U^k}^{2^k} (k >= 2) for each row g of `batch`, summed over nondecreasing shift tuples.
 
-    ‖g‖_{U^k}^{2^k} = E_h ‖Δ_h g‖_{U^{k-1}}^{2^{k-1}} with Δ_h g(x) = g(x+h)·conj(g(x)).
-    Since Δ_{−h}g is a translate of conj(Δ_h g), the mean over h runs over the
-    representatives `reps` with their `weights`, in blocks of shifts: all of
-    them when they fit _BATCH_BUDGET entries, else one shift per block.
+    ‖g‖_{U^k}^{2^k} = E_{h_1..h_m} |E_x Δ_{h_1}…Δ_{h_m} g(x)|² with m = k − 1 and
+    Δ_h g(x) = g(x+h)·conj(g(x)).  The leaf value is symmetric in the shifts, and
+    Δ_{−h}g is a translate of conj(Δ_h g), so the sum runs over nondecreasing
+    tuples i_1 <= ... <= i_m of indices into `reps`, each weighted by its number
+    of orderings m!/∏c! (c the lengths of its runs of equal indices) times
+    ∏ weights[i_t].  These weights are exact integers that add up to size^m;
+    the orderings factor is built level by level, t/c for the t-th index when
+    it is the c-th of its run.
+
+    The walk is depth first.  It holds a chunk of the rows derived along
+    prefixes of one length as a (prefixes, rows, size) array sorted by last
+    index, so each `_segments` block is one broadcast gather; a leaf block's
+    sums over x are one einsum.  Every working array holds at most
+    _BATCH_BUDGET entries, or one prefix when a prefix alone is larger.
     """
-    if k == 1:
-        m = batch.mean(axis=1)
-        return (m * m.conj()).real
     nrows, size = batch.shape
-    conj = batch.conj()
-    block = len(reps) if nrows * len(reps) * size <= _BATCH_BUDGET else 1
+    m = k - 1
+    cap = max(1, _BATCH_BUDGET // (nrows * size))
+    gather = shift[reps]
+    end = len(reps)
+    index = np.arange(end)
     acc = np.zeros(nrows)
-    for b in range(0, len(reps), block):
-        hs = reps[b : b + block]
-        derived = batch[:, shift[hs]] * conj[:, None, :]
-        vals = _u_power_batch(derived.reshape(-1, size), k - 1, shift, reps, weights)
-        acc += (vals.reshape(nrows, len(hs)) * weights[b : b + block]).sum(axis=1)
-    return acc / size
+
+    def walk(rows, last, run, coef, t):
+        """Extend each prefix of length t in `rows` by every index from its last on."""
+        nonlocal acc
+        conj = rows.conj()
+        # runs[p, j]: the run that index j ends on prefix p; coefs: the weight of p + (j), 0 for j < last
+        runs = np.where(last[:, None] == index, run[:, None] + 1, 1)
+        coefs = coef[:, None] * weights * (t + 1) // runs * (last[:, None] <= index)
+        leaf = t + 1 == m
+        if not leaf:
+            buf = np.empty((min(cap, int((end - last).sum())), nrows, size), dtype=np.complex128)
+            fill, meta = 0, []
+        for a, b, count in _segments(last, end, cap):
+            grown = np.take(rows[:count], gather[a:b], axis=2)  # (count, nrows, b - a, size)
+            if leaf:
+                sums = np.einsum("pryx,prx->pry", grown, conj[:count])
+                acc += np.einsum("pry,py->r", sums.real**2 + sums.imag**2, coefs[:count, a:b])
+                continue
+            keep = coefs[:count, a:b].T > 0  # children in order of their last index
+            kept = int(keep.sum())
+            if fill + kept > len(buf):
+                walk(buf[:fill], *map(np.concatenate, zip(*meta)), t + 1)
+                fill, meta = 0, []
+            grown = grown.transpose(2, 0, 1, 3)
+            out = buf[fill : fill + kept]
+            if kept == keep.size:
+                np.multiply(grown, conj[:count], out=out.reshape(grown.shape))
+            else:
+                out[...] = (grown * conj[:count])[keep]
+            meta.append((np.nonzero(keep)[0] + a, runs[:count, a:b].T[keep], coefs[:count, a:b].T[keep]))
+            fill += kept
+        if not leaf and fill:
+            walk(buf[:fill], *map(np.concatenate, zip(*meta)), t + 1)
+
+    one = np.zeros(1, dtype=np.int64)
+    walk(batch[None], one, one, one + 1, 0)
+    return acc / float(size) ** (m + 2)  # the leaves are |size · mean|²
 
 
 def _norm_kernel(p: int, n: int, k: int, point_guard: int = DEFAULT_POINT_GUARD):
@@ -442,10 +509,18 @@ def _gowers_rows(rows: np.ndarray, k: int, kernel) -> list[float]:
     """U^k norm of each row of `rows`, with the `_norm_kernel` of their group.
 
     The 2^k-power average is real and nonnegative in exact arithmetic;
-    negative roundoff is clamped to zero before taking the root.
+    negative roundoff is clamped to zero before taking the root.  A sum that
+    overflows float64 is refused with a ValueError, not reported as inf or NaN.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite sum
+        raws = _u_power_batch(rows, k, *kernel)
+    if not np.isfinite(raws).all():
+        raise ValueError(
+            f"the U^{k} norm overflows float64: it multiplies 2^{k} table values, "
+            f"and the largest |value| is {np.abs(rows).max():.3g}"
+        )
     norms = []
-    for raw in _u_power_batch(rows, k, *kernel).tolist():
+    for raw in raws.tolist():
         if raw < 0:
             log.debug("clamping negative U^%d power average %.3e to 0", k, raw)
             raw = 0.0

@@ -6,7 +6,10 @@ guards) first under `config`, so any emitted report can be reproduced
 bit-for-bit by re-running the embedded config.  Exit codes: 0 success/pass,
 1 negative-but-valid result (infeasible, none found, verification fail,
 inequality violation), 2 input error.  A run that exits 0 or 1 writes exactly
-one report; a run that exits 2 writes none and says why on stderr.
+one report; a run that exits 2 writes none and says why on stderr.  A command
+with side files (`phikm --system-out/--cert-out`) returns them as a third
+item, path to JSON object; `main` checks their paths first and writes them
+only after the report, so a run whose report fails leaves none behind.
 
 JSON reports are written by `_json_text`, which gives the same bytes as
 `json.dumps(report, indent=1)` but joins each flat list of plain ints (the
@@ -19,8 +22,10 @@ forms and index lists that make up most of a reduction chain) in one
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 
 from . import analysis, complexity, covering, phi_km, reduction, systems
@@ -88,6 +93,15 @@ def _emit(report: dict, args) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening `path` for writing would raise when it
+    is a directory or its directory is missing, without creating anything."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _config(args) -> dict:
@@ -229,7 +243,7 @@ def cmd_gvn(args) -> tuple[dict, int]:
     return {"report": report_obj.to_json()}, 0 if report_obj.passed else 1
 
 
-def cmd_phikm(args) -> tuple[dict, int]:
+def cmd_phikm(args) -> tuple[dict, int, dict]:
     system = phi_km.phi_system(args.p, args.k, args.M)
     points = phi_km.s_km_points(args.p, args.k, args.M)
     report = {
@@ -239,9 +253,9 @@ def cmd_phikm(args) -> tuple[dict, int]:
         "system": system.to_json(),
     }
     exit_code = 0
+    side_files = {}
     if args.system_out:
-        with open(args.system_out, "w", encoding="utf-8") as fh:
-            json.dump(system.to_json(), fh)
+        side_files[args.system_out] = system.to_json()
         report["system_written"] = args.system_out
     if args.witness:
         at = tuple(int(x) for x in args.at.split(",")) if args.at else None
@@ -256,8 +270,7 @@ def cmd_phikm(args) -> tuple[dict, int]:
             ],
         }
         if args.cert_out:
-            with open(args.cert_out, "w", encoding="utf-8") as fh:
-                json.dump(cert.to_json(), fh)
+            side_files[args.cert_out] = cert.to_json()
             report["certificate_written"] = args.cert_out
         if args.verify:
             verdict = complexity.verify_witness(system, cert)
@@ -265,7 +278,7 @@ def cmd_phikm(args) -> tuple[dict, int]:
             if not verdict.passed:
                 report["witness"]["failures"] = verdict.failures
                 exit_code = 1
-    return report, exit_code
+    return report, exit_code, side_files
 
 
 def cmd_cover(args) -> tuple[dict, int]:
@@ -416,8 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        body, code = args.func(args)
+        body, code, *side = args.func(args)
+        side_files = side[0] if side else {}
+        for path in side_files:
+            _check_writable(path)
         _emit({"config": _config(args), **body}, args)
+        for path, obj in side_files.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
         return code
     except (systems.InputValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

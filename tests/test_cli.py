@@ -3,6 +3,7 @@ import hashlib
 import json
 import signal
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -382,6 +383,19 @@ def test_gowers_rejects_malformed_tables(tmp_path, capsys, payload, messages):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("input error:")
     assert all(message in captured.err for message in messages)
+
+
+def test_gowers_refuses_a_table_whose_norm_overflows(tmp_path, capsys):
+    """One value of 1e200 makes the U^3 products overflow float64: exit 2 by name,
+    with no numpy warning and no report (no `"norm": NaN`)."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"p": 5, "n": 1, "values": ONES[:2] + [[1e200, 0.0]] + ONES[3:]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["gowers", str(path), "--k", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: the U^3 norm overflows float64") and "1e+200" in captured.err
 
 
 def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
@@ -831,3 +845,18 @@ def test_directories_are_input_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), argv
         assert captured.err.startswith("input error: ") and "Traceback" not in captured.err, argv
+
+
+def test_phikm_writes_no_side_file_when_its_report_fails(tmp_path, capsys, monkeypatch):
+    """`--system-out` and `--cert-out` are written only after the report: a report
+    path that is a directory exits 2 and leaves neither file behind."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reports").mkdir()
+    argv = ["phikm", "--p", "3", "--k", "4", "--M", "2", "--witness",
+            "--system-out", "s.json", "--cert-out", "c.json", "--out", "reports"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reports"]
+    assert main(argv[:-1] + ["report.json"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "report.json", "reports", "s.json"]

@@ -1,10 +1,13 @@
-"""Property tests: the paired U^k recursion against the direct oracle, the batched oracle
-against the loop it replaced, and the byte-capped shift-matrix cache.
+"""Property tests: the U^k recursion over nondecreasing tuples of paired shifts against
+the direct oracle, the batched oracle against the loop it replaced, and the byte-capped
+shift-matrix cache.
 
 The direct oracle sums over every point (x, h_1, ..., h_k), so the recursion
-cases are the groups F_p^n and the orders k in {2, 3, 4} with at most 6·10^6
-such points, (p^n)^(k+1) <= 6·10^6.  The loop oracle takes one Python
-iteration per shift tuple, so its cases have p^n <= 343 and at most 2401 tuples.
+cases are the groups F_p^n and the orders k in {2, 3, 4, 5} with at most 6·10^6
+such points, (p^n)^(k+1) <= 6·10^6; for k = 5 that is p^n <= 13, where tuples
+with runs of three and four equal shifts occur.  The loop oracle takes one
+Python iteration per shift tuple, so its cases have p^n <= 343 and at most
+2401 tuples.
 """
 
 import logging
@@ -32,7 +35,7 @@ CASES = [
     (p, n, k)
     for p in (2, 3, 5, 7)
     for n in range(1, 9)
-    for k in (2, 3, 4)
+    for k in (2, 3, 4, 5)
     if (p**n) ** (k + 1) <= 6_000_000
 ]
 ORACLE_CASES = [
@@ -54,29 +57,51 @@ def test_recursion_matches_direct_oracle(case, family, seed):
     oracle = gowers_norm_direct(f, k)
     assert gowers_norm(f, k) == pytest.approx(oracle, abs=1e-12)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_BATCH_BUDGET", 16)  # one shift at a time at every level
+        mp.setattr(analysis, "_BATCH_BUDGET", 16)  # one prefix and one shift per block at every level
         assert gowers_norm(f, k) == pytest.approx(oracle, abs=1e-12)
+
+
+def budgets(rows: int, p: int, n: int) -> dict[str, int]:
+    """_BATCH_BUDGET for each batching path of the walk over nondecreasing tuples:
+    every level in one array, blocks widened over several shifts; pieces of as
+    many prefixes as there are shift representatives, so each level is cut into
+    pieces and widened blocks drop the pairs below their prefix's last shift;
+    one prefix and one shift per block (a few prefixes on groups of size 2 and 4)."""
+    reps = len(analysis._negation_pairs(p, n)[0])
+    return {"one-array": analysis._BATCH_BUDGET, "pieces": reps * rows * p**n, "one-prefix": 16}
 
 
 @settings(EXAMPLES, max_examples=20)
 @given(
     case=st.sampled_from(CASES),
     rows=st.integers(2, 3),
-    path=st.sampled_from(["at-once", "top-at-once", "per-shift"]),
+    path=st.sampled_from(["one-array", "pieces", "one-prefix"]),
     seed=st.integers(0, 2**16),
 )
 def test_batch_rows_match_direct_oracle(case, rows, path, seed):
-    """Each row of a multi-row batch gets its own norm, with all shifts at once at every
-    level, at the top level only, or one shift at a time at every level."""
+    """Each row of a multi-row batch gets its own norm on every batching path."""
     p, n, k = case
     tables = [random_one_bounded(p, n, [seed, j], FAMILIES[j % 4]) for j in range(rows)]
     kernel = analysis._norm_kernel(p, n, k)
-    budget = {"at-once": analysis._BATCH_BUDGET, "top-at-once": rows * len(kernel[1]) * p**n, "per-shift": 16}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_BATCH_BUDGET", budget[path])
+        mp.setattr(analysis, "_BATCH_BUDGET", budgets(rows, p, n)[path])
         norms = analysis._gowers_rows(np.stack([f.values for f in tables]), k, kernel)
     for f, norm in zip(tables, norms):
         assert norm == pytest.approx(gowers_norm_direct(f, k), abs=1e-12)
+
+
+@pytest.mark.parametrize("p, n, k", CASES)
+def test_tuple_weights_add_up_exactly(p, n, k):
+    """The weights of the nondecreasing tuples are integers that add up to size^(k-1),
+    exactly: every leaf sum of the constant-1 table is size, so its U^k power average
+    is exactly 1.0, and so is its norm, on every batching path."""
+    kernel = analysis._norm_kernel(p, n, k)
+    ones = FunctionTable.constant(p, n)
+    for budget in budgets(1, p, n).values():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_BATCH_BUDGET", budget)
+            assert analysis._u_power_batch(ones.values[None, :], k, *kernel).tolist() == [1.0]
+            assert gowers_norm(ones, k) == 1.0
 
 
 def reference_gowers_norm_direct(f: FunctionTable, k: int, point_guard: int = DEFAULT_POINT_GUARD) -> float:
