@@ -207,6 +207,8 @@ def cmd_reduce(args) -> tuple[dict, int]:
 
 
 def cmd_gvn(args) -> tuple[dict, int]:
+    if args.k + 1 > analysis.UK_CAP:  # the check takes U^(k+1) norms
+        raise analysis.EnumerationGuardExceeded(f"--k {args.k}: U^{args.k + 1} above cap U^{analysis.UK_CAP}")
     system = systems.load_system(args.system)
     if args.at_origin:
         origin = (1,) + (0,) * (system.d - 1)
@@ -244,6 +246,10 @@ def cmd_gvn(args) -> tuple[dict, int]:
 
 
 def cmd_phikm(args) -> tuple[dict, int, dict]:
+    stray = [flag for flag, val in (("--verify", args.verify), ("--at", args.at), ("--cert-out", args.cert_out))
+             if not args.witness and val not in (None, False)]
+    if stray:
+        raise systems.InputValidationError([f"{flag} needs --witness" for flag in stray])
     system = phi_km.phi_system(args.p, args.k, args.M)
     points = phi_km.s_km_points(args.p, args.k, args.M)
     report = {
@@ -259,15 +265,12 @@ def cmd_phikm(args) -> tuple[dict, int, dict]:
         report["system_written"] = args.system_out
     if args.witness:
         at = tuple(int(x) for x in args.at.split(",")) if args.at else None
-        sequence, covers = phi_km.phi_witness(args.p, args.k, args.M)
-        cert = phi_km.phi_witness_certificate(args.p, args.k, args.M, at)
+        sequence, covers, cert = phi_km._witness_at(args.p, args.k, args.M, at)
         report["witness"] = {
             "length": cert.length,
-            "sequence_points": [list(z) for z in sequence[: cert.length]],
+            "sequence_points": [list(z) for z in sequence],
             "certificate": cert.to_json(),
-            "geometric_covers": [
-                [s.to_json() for s in cover] for cover in covers[: cert.length]
-            ],
+            "geometric_covers": [[s.to_json() for s in cover] for cover in covers],
         }
         if args.cert_out:
             side_files[args.cert_out] = cert.to_json()

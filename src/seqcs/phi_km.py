@@ -3,10 +3,11 @@
 The point set is the simplex of exponent vectors z in [0,p-1]^M with integer
 digit sum below k; the system has one form per point, in M+1 variables, with
 leading column all ones.  This module builds the full witness sequence
-through the simplex (slice by slice in the last coordinate, descending),
-converts its geometric covers into form-level certificates, and constructs
-the unimodular product-of-binomials function family whose average over the
-system is exactly 1.
+through the simplex (slice by slice in the last coordinate, descending) with
+its form-level certificate, each part the set of simplex points that its
+cover subspace holds by construction (`phikm --verify` re-checks the parts
+with `verify_witness`), and constructs the unimodular product-of-binomials
+function family whose average over the system is exactly 1.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ class PhiDescriptor:
             raise ValueError("need M >= 1 and k >= 1")
         prime = Prime(p)
         return PhiDescriptor(prime, min(k, M * (prime - 1) + 1), M)
-
-    @property
-    def size(self) -> int:
-        return sum(1 for _ in _simplex(self.p, self.k, self.M))
 
 
 def _simplex(p: int, k: int, M: int):
@@ -98,25 +95,26 @@ def _embed_in_slice(sub: AffineSubspace, level: int, p: int, M: int) -> AffineSu
 
 
 def _witness_rec(p: int, k: int, M: int):
-    if M == 1:
-        top = min(k, p) - 1
-        seq = [(v,) for v in range(top, -1, -1)]
-        covers = []
-        for i in range(1, len(seq) + 1):
-            covers.append([AffineSubspace.make(p, (v,), []) for v in range(top - i + 1)])
-        return seq, covers
-    seq: list[tuple[int, ...]] = []
-    covers: list[list[AffineSubspace]] = []
-    for level in range(p - 1, -1, -1):
-        sub_k = k - level
-        if sub_k < 1:
-            continue
-        sub_seq, sub_covers = _witness_rec(p, sub_k, M - 1)
+    """Sequence, per-prefix covers and their parts on s_km_points(p, k, M).
+
+    parts[j][t] lists, ascending, the simplex indices of the points outside
+    seq[:j+1] in covers[j][t]: a slice z_M = m holds the (M-1)-simplex for k-m
+    lifted by m, an embedded subspace its own part lifted by the slice level.
+    """
+    if M == 0:
+        return [()], [[]], [[]]
+    index_of = {z: i for i, z in enumerate(_simplex(p, k, M))}
+    slices = [tuple(index_of[y + (m,)] for y in _simplex(p, k - m, M - 1)) for m in range(min(k, p))]
+    seq, covers, parts = [], [], []
+    for level in range(min(k, p) - 1, -1, -1):
+        sub_seq, sub_covers, sub_parts = _witness_rec(p, k - level, M - 1)
+        lift = slices[level]
         below = [_slice_hyperplane(p, M, m) for m in range(level)]
-        for point, cover in zip(sub_seq, sub_covers):
+        for point, cover, cover_parts in zip(sub_seq, sub_covers, sub_parts):
             seq.append(point + (level,))
             covers.append([_embed_in_slice(s, level, p, M) for s in cover] + below)
-    return seq, covers
+            parts.append([tuple(lift[i] for i in part) for part in cover_parts] + slices[:level])
+    return seq, covers, parts
 
 
 def phi_witness(p: int, k: int, M: int):
@@ -129,41 +127,35 @@ def phi_witness(p: int, k: int, M: int):
     the (M-1)-dimensional construction.
     """
     desc = PhiDescriptor.make(p, k, M)
-    return _witness_rec(int(desc.p), desc.k, desc.M)
+    seq, covers, _ = _witness_rec(int(desc.p), desc.k, desc.M)
+    return seq, covers
 
 
-def phi_witness_certificate(p: int, k: int, M: int, at=None) -> WitnessCertificate:
-    """Form-level witness for the progression system, truncated to end at `at`.
+def _witness_at(p: int, k: int, M: int, at=None):
+    """`phi_witness` truncated to end at `at`, and its certificate of parameter k-2.
 
-    Geometric covers become index parts by collecting, for each subspace, the
-    remaining points it contains; a subspace avoiding the prefix points yields
-    a part whose span avoids the prefix forms (the systems are normalized with
-    a leading ones column, so span membership is affine-span membership of
-    the points).  The certified complexity parameter is k-2.
+    The forms have a leading ones column, so a part of points off the prefix
+    spans no prefix form when its cover subspace avoids the prefix points.
     """
     if k < 2:
         raise ValueError("certificates need k >= 2 (cover size k-1 >= 1 part)")
     desc = PhiDescriptor.make(p, k, M)
     p, k, M = int(desc.p), desc.k, desc.M
-    system = phi_system(p, k, M)
-    points = s_km_points(p, k, M)
-    index_of = {z: i for i, z in enumerate(points)}
-    seq_pts, covers_geo = phi_witness(p, k, M)
+    seq_pts, covers_geo, parts = _witness_rec(p, k, M)
     target = tuple(at) if at is not None else (0,) * M
-    if target not in index_of:
+    if target not in seq_pts:
         raise ValueError(f"{target} is not a simplex point")
     ell = seq_pts.index(target) + 1
+    index_of = {z: i for i, z in enumerate(s_km_points(p, k, M))}
     sequence = tuple(index_of[z] for z in seq_pts[:ell])
-    covers = []
-    for j in range(1, ell + 1):
-        prefix_pts = set(seq_pts[:j])
-        remaining = [z for z in points if z not in prefix_pts]
-        parts = tuple(
-            tuple(sorted(index_of[z] for z in remaining if sub.contains(z)))
-            for sub in covers_geo[j - 1]
-        )
-        covers.append(CoverCertificate(tuple(sequence[:j]), parts, k - 2))
-    return WitnessCertificate(system.digest(), sequence[-1], k - 2, sequence, tuple(covers))
+    covers = tuple(CoverCertificate(sequence[:j], tuple(parts[j - 1]), k - 2) for j in range(1, ell + 1))
+    cert = WitnessCertificate(phi_system(p, k, M).digest(), sequence[-1], k - 2, sequence, covers)
+    return seq_pts[:ell], covers_geo[:ell], cert
+
+
+def phi_witness_certificate(p: int, k: int, M: int, at=None) -> WitnessCertificate:
+    """Form-level witness for the progression system, truncated to end at `at`."""
+    return _witness_at(p, k, M, at)[2]
 
 
 def default_weight(p: int, k: int, M: int) -> tuple[int, ...]:

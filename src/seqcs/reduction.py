@@ -181,13 +181,6 @@ class ReductionChain:
     slot_map: tuple[tuple[int, bool], ...]  # final slot -> (original function index, conjugated)
     truncated: bool = False
 
-    def occurrences(self, original_index: int) -> list[tuple[int, bool]]:
-        return [
-            (slot, conj)
-            for slot, (orig, conj) in enumerate(self.slot_map)
-            if orig == original_index
-        ]
-
     def to_json(self) -> dict:
         return {
             "input": self.input_system.to_json(),
@@ -208,8 +201,8 @@ def build_chain(
 ) -> ReductionChain:
     """Iterate cs_step until the witness has length 1, tracking function slots.
 
-    Every original function index maps to a multiset of (slot, conjugation)
-    occurrences in the final system.  Stops early (truncated=True, no base
+    `slot_map` gives each slot of the final system its original function index
+    and whether it is conjugated.  Stops early (truncated=True, no base
     certificate) when the next step would exceed `max_forms` forms.  Each
     certificate is verified once, by the step that consumes it or, for the
     last one, here; a failure past the input witness is an internal fault.

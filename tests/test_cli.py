@@ -654,6 +654,8 @@ def test_reduce_marks_an_unbound_witness(files, capsys, tmp_path):
     (["gvn", "--ell", "0"], "ell must be >= 1, got 0"),
     (["gvn", "--ell", "-3"], "ell must be >= 1, got -3"),
     (["gvn", "--k", "0"], "k must be >= 1, got 0"),
+    (["gvn", "--k", "8"], "--k 8: U^9 above cap U^8"),
+    (["gowers", "--k", "9"], "k=9 above cap 8"),
     (["cover", "--max-count", "-1"], "max_count must be >= 0, got -1"),
     (["reduce", "--max-forms", "-1"], "max_forms must be >= 0, got -1"),
     (["gvn", "--tol=nan"], "tol must be finite and >= 0, got nan"),
@@ -668,12 +670,15 @@ def test_reduce_marks_an_unbound_witness(files, capsys, tmp_path):
     (["reduce-unchecked", "--trials", "0"], "trials must be >= 1, got 0"),
     (["reduce-unchecked", "--seed", "-1"], "seed must be >= 0, got -1"),
 ], ids=["gvn-n-0", "gvn-n-neg", "gvn-trials-neg", "gvn-trials-0", "reduce-n-0", "reduce-trials-0", "witness-k-neg",
-        "gvn-seed-neg", "reduce-seed-neg", "gvn-ell-0", "gvn-ell-neg", "gvn-k-0", "cover-max-count-neg",
+        "gvn-seed-neg", "reduce-seed-neg", "gvn-ell-0", "gvn-ell-neg", "gvn-k-0", "gvn-k-above-cap",
+        "gowers-k-above-cap", "cover-max-count-neg",
         "reduce-max-forms-neg", "gvn-tol-nan", "gvn-tol-inf", "gvn-tol-minus-inf", "gvn-tol-neg",
         "reduce-tol-nan", "reduce-tol-inf", "reduce-tol-minus-inf", "reduce-tol-neg",
         "reduce-unchecked-n-0", "reduce-unchecked-trials-0", "reduce-unchecked-seed-neg"])
 def test_out_of_range_integer_flags_exit_2_by_name(files, capsys, tmp_path, argv, message):
     command, *flags = argv
+    table = tmp_path / "f.json"
+    table.write_text(json.dumps(FunctionTable.constant(3, 1).to_json()))
     base = {
         "gvn": ["gvn", "--system", files["phi31"], "--at", "0", "--k", "1", "--ell", "1", "--trials", "2"],
         "reduce": ["reduce", files["rem1"], "--witness", write_certificate(capsys, files, tmp_path),
@@ -681,6 +686,7 @@ def test_out_of_range_integer_flags_exit_2_by_name(files, capsys, tmp_path, argv
         "reduce-unchecked": ["reduce", files["rem1"], "--witness", write_certificate(capsys, files, tmp_path)],
         "witness": ["witness", files["phi31"], "--k", "1", "--at", "0"],
         "cover": ["cover", "--phikm-origin", "--p", "3", "--k", "3", "--M", "2"],
+        "gowers": ["gowers", str(table), "--k", "2"],
     }[command]
     code = main(base + flags)
     captured = capsys.readouterr()
@@ -717,6 +723,24 @@ def test_ell_family_out_of_range_is_named(tmp_path, capsys, level, message):
                  "--family", "counterexample", "--phi-k", "4", "--phi-M", "2", "--ell-family", level])
     assert code == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--verify"],
+    ["--at", "2,1"],
+    ["--cert-out", "c.json"],
+    ["--cert-out", "c.json", "--at", "2,1", "--verify"],
+], ids=["verify", "at", "cert-out", "all-three"])
+def test_phikm_witness_flags_need_witness(tmp_path, capsys, monkeypatch, flags):
+    """`--verify`, `--at` and `--cert-out` act on a witness: without `--witness`
+    the run exits 2 naming each one given, with no report and no side file."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["phikm", "--p", "3", "--k", "4", "--M", "2", "--system-out", "s.json", "--out", "r.json"]
+    assert main(argv + flags) == 2
+    named = [flag for flag in ("--verify", "--at", "--cert-out") if flag in flags]
+    assert capsys.readouterr() == ("", "input error: " + "; ".join(f"{flag} needs --witness" for flag in named) + "\n")
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv + flags + ["--witness"]) == 0
 
 
 def contract_inputs(tmp_path):

@@ -4,10 +4,12 @@ from math import comb, prod
 import pytest
 
 from seqcs.analysis import gowers_norm, gowers_norm_direct, lambda_average, tensor_product_table
-from seqcs.complexity import verify_witness
+from seqcs.complexity import CoverCertificate, WitnessCertificate, verify_witness
 from seqcs.covering import AffineCover, verify_cover
 from seqcs.phi_km import (
     PhiDescriptor,
+    _simplex,
+    _witness_at,
     binomial_product_table,
     counterexample_family,
     default_weight,
@@ -28,6 +30,33 @@ def s_km_size_recurrence(p, k, M):
     if M == 0:
         return 1
     return sum(s_km_size_recurrence(p, k - j, M - 1) for j in range(p))
+
+
+def simplex_size(desc):
+    """|S_{k,M}| of a descriptor, counted off the point generator without a list."""
+    return sum(1 for _ in _simplex(desc.p, desc.k, desc.M))
+
+
+def scanned_witness(p, k, M, at=None):
+    """Oracle for `_witness_at`: each certificate part collects, by membership
+    tests, the remaining simplex points that its cover subspace contains."""
+    desc = PhiDescriptor.make(p, k, M)
+    p, k, M = int(desc.p), desc.k, desc.M
+    points = s_km_points(p, k, M)
+    index_of = {z: i for i, z in enumerate(points)}
+    seq_pts, covers_geo = phi_witness(p, k, M)
+    ell = seq_pts.index(tuple(at) if at is not None else (0,) * M) + 1
+    sequence = tuple(index_of[z] for z in seq_pts[:ell])
+    covers = []
+    for j in range(1, ell + 1):
+        prefix_pts = set(seq_pts[:j])
+        remaining = [z for z in points if z not in prefix_pts]
+        parts = tuple(
+            tuple(sorted(index_of[z] for z in remaining if sub.contains(z))) for sub in covers_geo[j - 1]
+        )
+        covers.append(CoverCertificate(sequence[:j], parts, k - 2))
+    cert = WitnessCertificate(phi_system(p, k, M).digest(), sequence[-1], k - 2, sequence, tuple(covers))
+    return seq_pts[:ell], covers_geo[:ell], cert
 
 
 def test_s_km_examples():
@@ -63,13 +92,13 @@ def test_s_km_points_refuse_a_huge_simplex(p, k, M):
     with pytest.raises(ValueError, match=f"^M={M}: "):
         s_km_points(p, k, M)
     with pytest.raises(ValueError, match=f"^M={M}: "):
-        PhiDescriptor.make(p, k, M).size
+        simplex_size(PhiDescriptor.make(p, k, M))
 
 
 def test_descriptor_clamps():
     desc = PhiDescriptor.make(3, 99, 2)
     assert desc.k == 5
-    assert desc.size == 9
+    assert simplex_size(desc) == 9
     with pytest.raises(ValueError):
         PhiDescriptor.make(4, 3, 2)
 
@@ -117,6 +146,22 @@ def test_phi_witness_prefix_truncation_gives_witness_everywhere():
             cert = phi_witness_certificate(p, k, M, at=z)
             assert cert.k == k - 2
             assert verify_witness(system, cert).passed
+
+
+def test_phi_witness_parts_match_the_membership_scan():
+    cases = [
+        (p, k, M, None)
+        for p in (2, 3, 5, 7)
+        for M in (1, 2, 3)
+        for k in range(2, min(7, M * (p - 1) + 1) + 1)
+        if p**M <= 400
+    ]
+    cases += [(p, 4, 2, z) for p in (3, 5) for z in s_km_points(p, 4, 2)]
+    for p, k, M, at in cases:
+        built, oracle = _witness_at(p, k, M, at), scanned_witness(p, k, M, at)
+        assert built == oracle, (p, k, M, at)
+        assert built[2].to_json() == oracle[2].to_json()
+        assert built[2] == phi_witness_certificate(p, k, M, at)
 
 
 def test_phi_certificate_full_length():

@@ -17,6 +17,11 @@ REMARK_F7 = validate({"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 
 PHI31 = validate({"p": 5, "forms": [[1, 0], [1, 1], [1, 2]]})
 
 
+def occurrences(chain, original_index: int) -> list[tuple[int, bool]]:
+    """The (slot, conjugated) pairs of the final system that carry one original function."""
+    return [(slot, conj) for slot, (orig, conj) in enumerate(chain.slot_map) if orig == original_index]
+
+
 def remark_witness():
     return sequential_witness(REMARK_F7, 5, 1, 2)
 
@@ -148,10 +153,10 @@ def test_chain_remark_slot_tracking():
     assert chain.final_system.r == 10
     # the tracked function lands unconjugated at the base index
     assert chain.slot_map[chain.base_index] == (5, False)
-    occ = chain.occurrences(5)
+    occ = occurrences(chain, 5)
     assert (chain.base_index, False) in occ and len(occ) == 2
     # the squared-away first witness form disappears from the final system
-    assert chain.occurrences(0) == []
+    assert occurrences(chain, 0) == []
 
 
 def test_chain_truncation_cap():
