@@ -11,6 +11,13 @@ with side files (`phikm --system-out/--cert-out`) returns them as a third
 item, path to JSON object; `main` checks their paths first and writes them
 only after the report, so a run whose report fails leaves none behind.
 
+`main(argv)` may be called repeatedly in one process.  It builds its parser
+once, on the first call, and reuses it: parsing makes a fresh namespace per
+call and every default is an immutable scalar, so nothing carries from one
+call to the next.  The flag defaults (the `covering`, `analysis` and
+`reduction` guards) and the `cmd_*` each subcommand calls are read at that
+first build.
+
 JSON reports are written by `_json_text`, which gives the same bytes as
 `json.dumps(report, indent=1)` but joins each flat list of plain ints (the
 forms and index lists that make up most of a reduction chain) in one
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -112,6 +120,22 @@ def _config(args) -> dict:
     return {key: val for key, val in vars(args).items() if key not in ("output", "out", "func")}
 
 
+def _check_guard(flag: str, value: int) -> None:
+    """A size guard must allow at least one node or point."""
+    if value < 1:
+        raise ValueError(f"{flag} {value}: must be >= 1")
+
+
+def _int_tuple(flag: str, text: str | None) -> tuple[int, ...] | None:
+    """The comma-separated integers of a flag's value; None when it is absent or empty."""
+    if not text:
+        return None
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} {text}: expected comma-separated integers") from None
+
+
 def _checked_at(at: int, system) -> int:
     if not 0 <= at < system.r:
         raise systems.InputValidationError([f"--at {at}: valid form indices are 0..{system.r - 1}"])
@@ -119,6 +143,7 @@ def _checked_at(at: int, system) -> int:
 
 
 def cmd_analyze(args) -> tuple[dict, int]:
+    _check_guard("--node-guard", args.node_guard)
     system = systems.load_system(args.system)
     flags = systems.system_flags(system)
     normalized = systems.normalize_translation_invariant(system)
@@ -138,6 +163,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
 
 
 def cmd_witness(args) -> tuple[dict, int]:
+    _check_guard("--node-guard", args.node_guard)
     system = systems.load_system(args.system)
     targets = list(range(system.r)) if args.at is None else [_checked_at(args.at, system)]
     results = []
@@ -166,6 +192,7 @@ def cmd_reduce(args) -> tuple[dict, int]:
     if args.n < 1:
         raise ValueError(f"n must be >= 1, got {args.n}")
     analysis.check_trials(args.trials, args.seed)
+    _check_guard("--point-guard", args.point_guard)
     system = systems.load_system(args.system)
     cert = complexity.WitnessCertificate.load(args.witness)
     head = {} if cert.system_hash else {"unbound": True}  # no hash: nothing tied the witness to this system
@@ -209,6 +236,7 @@ def cmd_reduce(args) -> tuple[dict, int]:
 def cmd_gvn(args) -> tuple[dict, int]:
     if args.k + 1 > analysis.UK_CAP:  # the check takes U^(k+1) norms
         raise analysis.EnumerationGuardExceeded(f"--k {args.k}: U^{args.k + 1} above cap U^{analysis.UK_CAP}")
+    _check_guard("--point-guard", args.point_guard)
     system = systems.load_system(args.system)
     if args.at_origin:
         origin = (1,) + (0,) * (system.d - 1)
@@ -223,7 +251,7 @@ def cmd_gvn(args) -> tuple[dict, int]:
             raise systems.InputValidationError(["--family counterexample needs --phi-k and --phi-M"])
         if args.ell_family < 1:
             raise ValueError(f"--ell-family must be >= 1, got {args.ell_family}")
-        w = tuple(int(x) for x in args.w.split(",")) if args.w else None
+        w = _int_tuple("--w", args.w)
         try:
             tables = phi_km.counterexample_family(int(system.p), args.phi_k, args.phi_m, w, args.ell_family)
         except analysis.EnumerationGuardExceeded as exc:  # the product-table guard, which names its level ell
@@ -264,7 +292,7 @@ def cmd_phikm(args) -> tuple[dict, int, dict]:
         side_files[args.system_out] = system.to_json()
         report["system_written"] = args.system_out
     if args.witness:
-        at = tuple(int(x) for x in args.at.split(",")) if args.at else None
+        at = _int_tuple("--at", args.at)
         sequence, covers, cert = phi_km._witness_at(args.p, args.k, args.M, at)
         report["witness"] = {
             "length": cert.length,
@@ -285,6 +313,7 @@ def cmd_phikm(args) -> tuple[dict, int, dict]:
 
 
 def cmd_cover(args) -> tuple[dict, int]:
+    _check_guard("--node-guard", args.node_guard)
     if args.points and (args.phikm_origin or (args.p, args.k, args.M) != (None, None, None)):
         raise systems.InputValidationError(
             ["a point-set file gives p and M itself; it takes none of --phikm-origin, --p, --k, --M"]
@@ -314,6 +343,7 @@ def cmd_cover(args) -> tuple[dict, int]:
 
 
 def cmd_gowers(args) -> tuple[dict, int]:
+    _check_guard("--point-guard", args.point_guard)
     with open(args.function, "r", encoding="utf-8") as fh:
         table = analysis.FunctionTable.from_json(json.load(fh))
     value = analysis.gowers_norm(table, args.k, args.point_guard)
@@ -329,6 +359,7 @@ def _add_common(sub):
     sub.add_argument("--out", help="write the report to this path instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seqcs", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)

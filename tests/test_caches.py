@@ -66,7 +66,7 @@ def exercise(workdir: Path) -> None:
 def check_reset(workdir: Path) -> None:
     """Fail unless the benchmark's reset empties every container the commands filled."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    import seqcs.cli  # noqa: F401  (loads every seqcs module before the baseline)
+    import seqcs.cli  # loads every seqcs module before the baseline
     from run import reset_program_caches
 
     baseline = {name: contents(value) for name, value in module_containers().items()}
@@ -74,9 +74,12 @@ def check_reset(workdir: Path) -> None:
     filled = sorted(name for name, value in module_containers().items() if contents(value) != baseline.get(name))
     # the check must see the caches the commands are known to fill
     assert "seqcs.analysis._shift_cache" in filled, filled
+    assert seqcs.cli.build_parser.cache_info().currsize == 1
     reset_program_caches()
     stale = sorted(name for name, value in module_containers().items() if contents(value) != baseline.get(name))
     assert not stale, f"filled at run time but not emptied by the benchmark's reset: {stale}"
+    # the CLI parser is built once per process: each benchmark pass builds it again, as a fresh process would
+    assert seqcs.cli.build_parser.cache_info().currsize == 0
 
 
 def test_every_module_cache_is_emptied_by_the_benchmark_reset(tmp_path):

@@ -1,7 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -669,17 +672,34 @@ def test_reduce_marks_an_unbound_witness(files, capsys, tmp_path):
     (["reduce-unchecked", "--n", "0"], "n must be >= 1, got 0"),
     (["reduce-unchecked", "--trials", "0"], "trials must be >= 1, got 0"),
     (["reduce-unchecked", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["analyze", "--node-guard", "-1"], "--node-guard -1: must be >= 1"),
+    (["witness", "--node-guard", "-1"], "--node-guard -1: must be >= 1"),
+    (["witness", "--node-guard", "0"], "--node-guard 0: must be >= 1"),
+    (["cover", "--node-guard", "0"], "--node-guard 0: must be >= 1"),
+    (["reduce", "--point-guard", "0"], "--point-guard 0: must be >= 1"),
+    (["reduce-unchecked", "--point-guard", "-1"], "--point-guard -1: must be >= 1"),
+    (["gvn", "--point-guard", "0"], "--point-guard 0: must be >= 1"),
+    (["gowers", "--point-guard", "-1"], "--point-guard -1: must be >= 1"),
+    (["phikm", "--at", "x"], "--at x: expected comma-separated integers"),
+    (["phikm", "--at", ","], "--at ,: expected comma-separated integers"),
+    (["gvn-counterexample", "--w", "x"], "--w x: expected comma-separated integers"),
 ], ids=["gvn-n-0", "gvn-n-neg", "gvn-trials-neg", "gvn-trials-0", "reduce-n-0", "reduce-trials-0", "witness-k-neg",
         "gvn-seed-neg", "reduce-seed-neg", "gvn-ell-0", "gvn-ell-neg", "gvn-k-0", "gvn-k-above-cap",
         "gowers-k-above-cap", "cover-max-count-neg",
         "reduce-max-forms-neg", "gvn-tol-nan", "gvn-tol-inf", "gvn-tol-minus-inf", "gvn-tol-neg",
         "reduce-tol-nan", "reduce-tol-inf", "reduce-tol-minus-inf", "reduce-tol-neg",
-        "reduce-unchecked-n-0", "reduce-unchecked-trials-0", "reduce-unchecked-seed-neg"])
+        "reduce-unchecked-n-0", "reduce-unchecked-trials-0", "reduce-unchecked-seed-neg",
+        "analyze-node-guard-neg", "witness-node-guard-neg", "witness-node-guard-0", "cover-node-guard-0",
+        "reduce-point-guard-0", "reduce-unchecked-point-guard-neg", "gvn-point-guard-0", "gowers-point-guard-neg",
+        "phikm-at-not-int", "phikm-at-comma", "gvn-w-not-int"])
 def test_out_of_range_integer_flags_exit_2_by_name(files, capsys, tmp_path, argv, message):
     command, *flags = argv
     table = tmp_path / "f.json"
     table.write_text(json.dumps(FunctionTable.constant(3, 1).to_json()))
+    phi342 = tmp_path / "phi342.json"
+    phi342.write_text(json.dumps(phi_system(3, 4, 2).to_json()))
     base = {
+        "analyze": ["analyze", files["phi31"]],
         "gvn": ["gvn", "--system", files["phi31"], "--at", "0", "--k", "1", "--ell", "1", "--trials", "2"],
         "reduce": ["reduce", files["rem1"], "--witness", write_certificate(capsys, files, tmp_path),
                    "--numeric-check", "--trials", "2"],
@@ -687,6 +707,9 @@ def test_out_of_range_integer_flags_exit_2_by_name(files, capsys, tmp_path, argv
         "witness": ["witness", files["phi31"], "--k", "1", "--at", "0"],
         "cover": ["cover", "--phikm-origin", "--p", "3", "--k", "3", "--M", "2"],
         "gowers": ["gowers", str(table), "--k", "2"],
+        "phikm": ["phikm", "--p", "3", "--k", "4", "--M", "2", "--witness"],
+        "gvn-counterexample": ["gvn", "--system", str(phi342), "--at-origin", "--k", "2", "--ell", "8", "--n", "2",
+                               "--family", "counterexample", "--phi-k", "4", "--phi-M", "2"],
     }[command]
     code = main(base + flags)
     captured = capsys.readouterr()
@@ -869,6 +892,28 @@ def test_directories_are_input_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), argv
         assert captured.err.startswith("input error: ") and "Traceback" not in captured.err, argv
+
+
+def test_the_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
+    """`main` parses every call with one parser per process.  Each subcommand run
+    twice in one process, its second run following other commands, writes the
+    same report bytes, `config` included, and exit code as its first run and as
+    a fresh interpreter, and every default the parser holds is an immutable scalar."""
+    _, bases = contract_inputs(tmp_path)
+    runs = {}
+    for argv in bases + bases[::-1]:
+        code = main(argv)
+        runs.setdefault(tuple(argv), []).append((code, capsys.readouterr().out))
+    assert all(first == second for first, second in runs.values())
+    assert build_parser() is build_parser()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "seqcs.cli", *bases[0]], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+    assert (proc.returncode, proc.stdout) == runs[tuple(bases[0])][0], proc.stderr[-2000:]
+    defaults = [action.default for parser in [build_parser(), *subcommand_parsers().values()]
+                for action in parser._actions]
+    assert all(type(default) in (type(None), bool, int, float, str) for default in defaults), defaults
 
 
 def test_phikm_writes_no_side_file_when_its_report_fails(tmp_path, capsys, monkeypatch):
