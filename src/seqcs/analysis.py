@@ -14,9 +14,11 @@ gathered from tables on F_p^b, for digit groups of b coordinates with
 p^(2b) <= _TABLE_BUDGET: ADD = shift_matrix(p, b), the cached table the U^k
 recursion uses too, and MUL[c] (x ↦ c·x); no digit of an assignment is
 decoded.  Sums use numpy's pairwise reduction per chunk of _CHUNK
-assignments and an exact compensated sum of the chunk totals.  Results are
-bit-stable at that fixed chunk size, cached or not; another chunk size
-moves the pairwise rounding and can change the last bits.
+assignments and an exact compensated sum of the chunk totals.  Uncached,
+a chunk builds one form's action at a time, gathers it into the running
+product and drops it, so its memory does not grow with the number of
+forms.  Results are bit-stable at that fixed chunk size, cached or not;
+another chunk size moves the pairwise rounding and can change the last bits.
 
 The U^k recursion derives along one shift h of each pair {h, −h} and counts
 it twice when h ≠ −h: Δ_{−h}f(x) = conj(Δ_h f(x − h)), and every U^j power
@@ -252,7 +254,8 @@ class LambdaEvaluator:
 
     The per-form index arrays (form applied to the digit-encoded assignment
     grid) are the hot path; they are cached whenever the grid is small enough
-    and recomputed per chunk otherwise.  Each norm check (`gvn_check`,
+    and recomputed per chunk otherwise, one form at a time, so an uncached
+    chunk holds one action, not r.  Each norm check (`gvn_check`,
     `reduction.numeric_step_check`, `lambda_average`) builds its own
     evaluator; none is kept across checks.  `value` takes FunctionTables and
     checks them; the trial-block loops call `average` on one trial's rows of
@@ -272,12 +275,25 @@ class LambdaEvaluator:
         self.n = n
         self.group_size = p**n
         self.total = self.group_size**d
+        # the digit-group tables of every form action: ADD, and MUL[c], MUL[c⁻¹] per coefficient c ∉ {0, 1}
+        b = _group_width(p, n)
+        self._radix, self._blocks = p**b, n // b
+        self._add = shift_matrix(p, b)
+        digits = digit_matrix(np.arange(self._radix, dtype=np.int64), p, b)
+        self._muls = {
+            c: tuple(encode_point([e * x for x in digits], p) for e in (c, pow(c, -1, p)))
+            for c in {c % p for form in system.forms for c in form} - {0, 1}
+        }
         self._cached_actions = None
         if self.total * system.r <= 1 << 23:
             self._cached_actions = self._actions(0, self.total)
 
     def _actions(self, start: int, stop: int) -> list[np.ndarray]:
-        """Each form's action on the assignments start, ..., stop - 1, by row gathers.
+        """Each form's `_action` on the assignments start, ..., stop - 1."""
+        return [self._action(form, start, stop) for form in self.system.forms]
+
+    def _action(self, form, start: int, stop: int) -> np.ndarray:
+        """The form's action on the assignments start, ..., stop - 1, by row gathers.
 
         The assignment index is read in digit groups of b coordinates (radix
         Q = p^b, b from _group_width): group g is coordinate block g % B of
@@ -286,33 +302,28 @@ class LambdaEvaluator:
         over a run a form with coefficient c there adds c·u, u = 0, ..., Q - 1,
         to the run's value w in that block: w + c·u = c·(c⁻¹·w + u) is row
         c⁻¹·w of ADD = shift_matrix(p, b) mapped through MUL[c] (x ↦ c·x),
-        and a zero coefficient repeats w.  The groups are added from the
-        highest down, each on the range [lo // Q, ceil(hi / Q)) of the group
-        above it, with the unaligned edges sliced off.
+        which is row w of ADD itself when c = 1, and a zero coefficient
+        repeats w.  The groups are added from the highest down, each on the
+        range [lo // Q, ceil(hi / Q)) of the group above it, with the
+        unaligned edges sliced off.
         """
-        p, n = int(self.system.p), self.n
-        b = _group_width(p, n)
-        q, blocks = p**b, n // b
-        add = shift_matrix(p, b)
-        digits = digit_matrix(np.arange(q, dtype=np.int64), p, b)
-        nonzero = {c % p for form in self.system.forms for c in form} - {0}
-        mul = {c: encode_point([c * x for x in digits], p) for c in nonzero | {pow(c, -1, p) for c in nonzero}}
-        actions = []
-        for form in self.system.forms:
-            acts = np.zeros(1, dtype=np.int64)  # the one run above the highest group
-            for g in reversed(range(self.system.d * blocks)):
-                c, scale = form[g // blocks] % p, q ** (g % blocks)
-                lo, hi = start // q**g, -(-stop // q**g)
-                w = acts // scale % q if blocks > 1 else acts  # the run's value in the group's block
-                if c:
-                    runs = mul[c].take(add.take(mul[pow(c, -1, p)].take(w), axis=0))
-                else:
-                    runs = np.broadcast_to(w[:, None], (len(w), q))
-                if blocks > 1:  # the run's other blocks pass through
-                    runs = runs * scale + (acts - w * scale)[:, None]
-                acts = runs.ravel()[lo % q : lo % q + hi - lo]
-            actions.append(acts)
-        return actions
+        p, q, blocks = int(self.system.p), self._radix, self._blocks
+        acts = np.zeros(1, dtype=np.int64)  # the one run above the highest group
+        for g in reversed(range(self.system.d * blocks)):
+            c, scale = form[g // blocks] % p, q ** (g % blocks)
+            lo, hi = start // q**g, -(-stop // q**g)
+            w = acts // scale % q if blocks > 1 else acts  # the run's value in the group's block
+            if c == 1:
+                runs = self._add.take(w, axis=0)
+            elif c:
+                mul, inverse = self._muls[c]
+                runs = mul.take(self._add.take(inverse.take(w), axis=0))
+            else:
+                runs = np.broadcast_to(w[:, None], (len(w), q))
+            if blocks > 1:  # the run's other blocks pass through
+                runs = runs * scale + (acts - w * scale)[:, None]
+            acts = runs.ravel()[lo % q : lo % q + hi - lo]
+        return acts
 
     def stack(self, tables) -> np.ndarray:
         """The tables' values as one (r, p^n) array, after checking their count and group."""
@@ -331,17 +342,17 @@ class LambdaEvaluator:
         flags = conjugated if conjugated is not None else [False] * len(rows)
         reals: list[float] = []
         imags: list[float] = []
+        cached, forms = self._cached_actions, self.system.forms
         for start in range(0, self.total, _CHUNK):
             stop = min(start + _CHUNK, self.total)
-            acts = (
-                [a[start:stop] for a in self._cached_actions]
-                if self._cached_actions is not None
-                else self._actions(start, stop)
-            )
             prod = np.ones(stop - start, dtype=np.complex128)
             for i, row in enumerate(rows):
-                gathered = row.take(acts[i])
-                prod *= gathered.conj() if flags[i] else gathered
+                acts = cached[i][start:stop] if cached is not None else self._action(forms[i], start, stop)
+                gathered = row.take(acts)
+                if flags[i]:
+                    np.conjugate(gathered, out=gathered)
+                prod *= gathered
+                del acts, gathered  # uncached, a form's action is dropped before the next one is built
             s = prod.sum()
             reals.append(float(s.real))
             imags.append(float(s.imag))

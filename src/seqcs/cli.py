@@ -18,12 +18,16 @@ call to the next.  The flag defaults (the `covering`, `analysis` and
 `reduction` guards) and the `cmd_*` each subcommand calls are read at that
 first build.
 
-JSON reports are written by `_json_text`, which gives the same bytes as
-`json.dumps(report, indent=1)` but joins each flat list of plain ints (the
-forms and index lists that make up most of a reduction chain) in one
-`str.join`.  Plain ints and finite floats are written by their `repr`, as
-`json` writes them; every other scalar (strings, bools, None, NaN and
-±Infinity, subclasses) is encoded by `json.dumps` itself.
+JSON reports are written by `_json_chunks`, which yields the bytes of
+`json.dumps(report, indent=1)` in pieces: a report written with `--out` is
+streamed to the file piece by piece and is never held whole, and stdout gets
+the joined pieces (`_json_text`).  Each flat list of plain ints, dict of
+scalars and list of plain-int rows (the forms and index lists that make up
+most of a reduction chain) is one `str.join`, a large matrix split after
+whole rows; any other container is written child by child.  Plain ints and
+finite floats are written by their `repr`, as `json` writes them; every
+other scalar (strings, bools, None, NaN and ±Infinity, subclasses) is
+encoded by `json.dumps` itself.
 """
 
 from __future__ import annotations
@@ -40,34 +44,84 @@ from . import analysis, complexity, covering, phi_km, reduction, systems
 from .covering import SearchGuardExceeded
 
 TOL_INEQUALITY = 1e-9
+_PIECE_INTS = 1 << 14
 
 
-def _json_text(obj, level: int = 0) -> str:
-    """`json.dumps(obj, indent=1)`, byte for byte, at nesting depth `level`."""
-    pad = "\n" + " " * level
-    inner = pad + " "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) == {int}:  # plain ints only: bools and int subclasses go item by item
-            items = map(int.__repr__, obj)
-        else:
-            items = (_json_text(x, level + 1) for x in obj)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if set(map(type, obj)) != {str}:  # json's own key coercion; its output has no raw newlines
-            return json.dumps(obj, indent=1).replace("\n", pad)
-        items = (json.dumps(k) + ": " + _json_text(v, level + 1) for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+def _json_scalar(obj) -> str:
+    """One JSON scalar as `json.dumps` writes it."""
     if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
         return obj.__repr__()  # as json writes them, without its per-call set-up
     return json.dumps(obj)
 
 
+def _int_row(obj) -> bool:
+    """Whether obj is a nonempty list or tuple of plain ints (bools and int subclasses go item by item)."""
+    return isinstance(obj, (list, tuple)) and bool(obj) and set(map(type, obj)) == {int}
+
+
+def _json_chunks(obj, level: int = 0):
+    """`json.dumps(obj, indent=1)` at nesting depth `level`, in pieces whose
+    concatenation is that text byte for byte.
+
+    A flat list of plain ints and a dict of scalars are one piece each, and
+    so is a list of plain-int rows (form matrices, cover parts) of up to
+    _PIECE_INTS ints; a larger one is split after whole rows, so no piece
+    holds much more than that.  Any other container is written child by child.
+    """
+    pad = "\n" + " " * level
+    inner = pad + " "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+        elif _int_row(obj):
+            yield "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]"
+        elif all(map(_int_row, obj)):  # a matrix, split after the row that brings a piece to _PIECE_INTS ints
+            row_inner = inner + " "
+            head, rows, held = "[", [], 0
+            for row in obj:
+                rows.append("[" + row_inner + ("," + row_inner).join(map(int.__repr__, row)) + inner + "]")
+                held += len(row)
+                if held >= _PIECE_INTS:
+                    yield head + inner + ("," + inner).join(rows)
+                    head, rows, held = ",", [], 0
+            yield (head + inner + ("," + inner).join(rows) if rows else "") + pad + "]"
+        else:
+            head = "["
+            for x in obj:
+                yield head + inner
+                yield from _json_chunks(x, level + 1)
+                head = ","
+            yield pad + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+        elif set(map(type, obj)) != {str}:  # json's own key coercion; its output has no raw newlines
+            yield json.dumps(obj, indent=1).replace("\n", pad)
+        elif not any(isinstance(v, (list, tuple, dict)) for v in obj.values()):
+            yield "{" + inner + ("," + inner).join(json.dumps(k) + ": " + _json_scalar(v) for k, v in obj.items()) + pad + "}"
+        else:
+            head = "{"
+            for k, v in obj.items():
+                yield head + inner + json.dumps(k) + ": "
+                yield from _json_chunks(v, level + 1)
+                head = ","
+            yield pad + "}"
+    else:
+        yield _json_scalar(obj)
+
+
+def _json_text(obj, level: int = 0) -> str:
+    """`json.dumps(obj, indent=1)`, byte for byte, at nesting depth `level`."""
+    return "".join(_json_chunks(obj, level))
+
+
 def _emit(report: dict, args) -> None:
     if args.output == "json":
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.writelines(_json_chunks(report))
+                fh.write("\n")
+            return
         text = _json_text(report)
     else:
         lines: list[str] = []

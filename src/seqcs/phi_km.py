@@ -21,7 +21,7 @@ import numpy as np
 from .analysis import FunctionTable, digit_matrix, encode_point, phase_table, tensor_product_table
 from .complexity import CoverCertificate, WitnessCertificate
 from .covering import AffineSubspace
-from .field import Prime
+from .field import Prime, SpanBasis
 from .systems import LinearSystem
 
 SIMPLEX_ENTRY_GUARD = 10**6
@@ -89,9 +89,14 @@ def _slice_hyperplane(p: int, M: int, level: int) -> AffineSubspace:
 
 
 def _embed_in_slice(sub: AffineSubspace, level: int, p: int, M: int) -> AffineSubspace:
-    base = sub.basepoint + (level,)
-    dirs = [d + (0,) for d in sub.directions]
-    return AffineSubspace.make(p, base, dirs)
+    """`sub` (in F_p^(M-1)) lifted into the slice z_M = level, in canonical form.
+
+    A zero last coordinate keeps the directions in RREF with the same
+    pivots, and the lifted basepoint is still zero at every pivot, so the
+    lift needs no elimination.
+    """
+    dirs = tuple(d + (0,) for d in sub.directions)
+    return AffineSubspace(p, M, sub.basepoint + (level,), dirs, SpanBasis(p, M, dirs, sub.basis.pivots))
 
 
 def _witness_rec(p: int, k: int, M: int):

@@ -316,6 +316,33 @@ def test_lambda_chunked_path_matches(monkeypatch):
     assert chunked == pytest.approx(full, abs=1e-14)
 
 
+def test_chunked_lambda_holds_one_form_action_at_a_time(monkeypatch):
+    """Uncached, a chunk's peak is the product and one form's gather, not r actions:
+    below 6 complex chunks at r = 24, with the cached evaluator's bits."""
+    import seqcs.analysis as mod
+
+    rng = random.Random(93)
+    p, n, d, r = 3, 2, 5, 24
+    system = LinearSystem(p, tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in range(r)))
+    monkeypatch.setattr(mod, "_CHUNK", 1 << 14)
+    cached = LambdaEvaluator(system, n)
+    assert cached._cached_actions is not None and cached.total > 3 * mod._CHUNK
+    rows = np.stack([random_one_bounded(p, n, [93, j], "disk").values for j in range(r)])
+    flags = [j % 3 == 0 for j in range(r)]
+    chunked = LambdaEvaluator(system, n)
+    chunked._cached_actions = None
+    chunked.average(rows, flags)  # warm numpy's own first-call allocations
+    tracemalloc.start()
+    try:
+        value = chunked.average(rows, flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * mod._CHUNK * 16
+    expected = cached.average(rows, flags)
+    assert (value.real, value.imag) == (expected.real, expected.imag)
+
+
 def test_form_actions_follow_the_digit_formula(monkeypatch):
     """Cached and chunked actions are exactly the base-p formula, zero form and coefficient 2 included."""
     import seqcs.analysis as mod

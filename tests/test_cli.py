@@ -6,15 +6,17 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcs import covering, systems
+from seqcs import cli, covering, systems
 from seqcs.analysis import FunctionTable, quadratic_table
-from seqcs.cli import _json_text, build_parser, main
+from seqcs.cli import _emit, _json_chunks, _json_text, build_parser, main
 from seqcs.covering import AffineCover, AffineSubspace
 from seqcs.phi_km import phi_system, phi_witness_certificate
 
@@ -575,9 +577,12 @@ JSON_SCALARS = st.one_of(
     st.sampled_from(["é", "日本", "\n\t\"\\/", "\u2028", "\x00\x1f", "\ud800", "\U0001f600"]),
 )
 INT_LISTS = st.lists(st.integers() | st.integers(2**63, 2**80) | st.booleans(), max_size=6)
+INT_ROWS = st.lists(st.integers(), min_size=1, max_size=5)
+# int matrices, and lists of int rows mixed with other rows and scalars
+ROW_LISTS = st.lists(INT_ROWS, min_size=1, max_size=6) | st.lists(INT_ROWS | INT_LISTS | JSON_SCALARS, max_size=6)
 JSON_KEYS = st.text(max_size=4) | st.sampled_from(["é", "\"", "a\nb"])
 JSON_VALUES = st.recursive(
-    JSON_SCALARS | INT_LISTS,
+    JSON_SCALARS | INT_LISTS | ROW_LISTS,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=3).map(tuple)
     | st.dictionaries(JSON_KEYS, inner, max_size=4)
@@ -587,10 +592,31 @@ JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=400)
-@given(JSON_VALUES)
-def test_report_writer_matches_json_dumps(obj):
+@given(JSON_VALUES, st.integers(0, 3), st.sampled_from([1, 2, 5, 1 << 14]))
+def test_report_writer_matches_json_dumps(obj, level, piece_ints):
+    """The pieces, with int matrices split after any number of ints, join to json.dumps's text at `level`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_PIECE_INTS", piece_ints)
+        assert "".join(_json_chunks(obj, level)) == json.dumps(obj, indent=1).replace("\n", "\n" + " " * level)
     assert _json_text(obj) == json.dumps(obj, indent=1)
     assert _json_text({"nested": [obj, [], {}]}) == json.dumps({"nested": [obj, [], {}]}, indent=1)
+
+
+def test_report_file_is_written_in_pieces(tmp_path):
+    """`--out` streams the report: writing a 2000 × 200 int matrix peaks below
+    half its text, and the file holds json.dumps's bytes and a newline."""
+    forms = np.random.default_rng(7).integers(0, 10**6, (2000, 200)).tolist()
+    report = {"config": {"command": "reduce"}, "forms": forms}
+    text = json.dumps(report, indent=1) + "\n"
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        _emit(report, argparse.Namespace(output="json", out=str(out)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) / 2
+    assert out.read_text(encoding="utf-8") == text
 
 
 def test_reduce_error_report_carries_the_full_config(files, capsys, tmp_path):

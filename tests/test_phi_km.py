@@ -2,12 +2,14 @@ from itertools import product
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqcs.analysis import gowers_norm, gowers_norm_direct, lambda_average, tensor_product_table
 from seqcs.complexity import CoverCertificate, WitnessCertificate, verify_witness
-from seqcs.covering import AffineCover, verify_cover
+from seqcs.covering import AffineCover, AffineSubspace, verify_cover
 from seqcs.phi_km import (
     PhiDescriptor,
+    _embed_in_slice,
     _simplex,
     _witness_at,
     binomial_product_table,
@@ -21,6 +23,33 @@ from seqcs.phi_km import (
     s_km_points,
 )
 from seqcs.systems import associated_set
+
+
+@st.composite
+def slice_embeddings(draw):
+    """A subspace of F_p^(M-1), spanned by possibly dependent vectors or cut out by a
+    hyperplane as the witness covers are, and a slice level z_M in F_p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    M = draw(st.integers(2, 5))
+    vector = st.tuples(*[st.integers(0, p - 1)] * (M - 1))
+    if draw(st.booleans()):
+        sub = AffineSubspace.make(p, draw(vector), draw(st.lists(vector, max_size=M)))
+    else:
+        normal = draw(vector.filter(any))
+        sub = AffineSubspace.from_hyperplane(normal, draw(st.integers(0, p - 1)), p)
+    return p, M, sub, draw(st.integers(0, p - 1))
+
+
+@settings(max_examples=300)
+@given(slice_embeddings())
+def test_slice_embedding_equals_the_eliminated_subspace(case):
+    """The lift built without elimination is the subspace `AffineSubspace.make` gives."""
+    p, M, sub, level = case
+    got = _embed_in_slice(sub, level, p, M)
+    want = AffineSubspace.make(p, sub.basepoint + (level,), [d + (0,) for d in sub.directions])
+    assert got == want
+    assert (got.basis.rows, got.basis.pivots, got.basis.dim) == (want.basis.rows, want.basis.pivots, want.basis.dim)
+    assert got.dim == want.dim
 
 
 def s_km_size_recurrence(p, k, M):
