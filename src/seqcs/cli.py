@@ -40,7 +40,7 @@ import math
 import os
 import sys
 
-from . import analysis, complexity, covering, phi_km, reduction, systems
+from . import analysis, complexity, covering, field, phi_km, reduction, systems
 from .covering import SearchGuardExceeded
 
 TOL_INEQUALITY = 1e-9
@@ -306,6 +306,15 @@ def cmd_gvn(args) -> tuple[dict, int]:
         if args.ell_family < 1:
             raise ValueError(f"--ell-family must be >= 1, got {args.ell_family}")
         w = _int_tuple("--w", args.w)
+        # the average depends only on the column span of the forms: the family is exact on a system
+        # whose form matrix spans the same columns as phi's, row for row
+        phi = phi_km.phi_system(int(system.p), args.phi_k, args.phi_m)
+        joined = [a + b for a, b in zip(phi.forms, system.forms)]
+        if system.r != phi.r or len({field.rank(rows, phi.p) for rows in (phi.forms, system.forms, joined)}) > 1:
+            raise systems.InputValidationError([
+                f"--phi-k {args.phi_k} --phi-M {args.phi_m}: the system is not phi({phi.p}, {args.phi_k}, "
+                f"{args.phi_m}) up to a change of variables, with its forms in s_km_points order"
+            ])
         try:
             tables = phi_km.counterexample_family(int(system.p), args.phi_k, args.phi_m, w, args.ell_family)
         except analysis.EnumerationGuardExceeded as exc:  # the product-table guard, which names its level ell
@@ -333,11 +342,10 @@ def cmd_phikm(args) -> tuple[dict, int, dict]:
     if stray:
         raise systems.InputValidationError([f"{flag} needs --witness" for flag in stray])
     system = phi_km.phi_system(args.p, args.k, args.M)
-    points = phi_km.s_km_points(args.p, args.k, args.M)
     report = {
         "p": args.p,
         "forms": system.r,
-        "points": [list(z) for z in points],
+        "points": [list(form[1:]) for form in system.forms],
         "system": system.to_json(),
     }
     exit_code = 0
@@ -347,7 +355,7 @@ def cmd_phikm(args) -> tuple[dict, int, dict]:
         report["system_written"] = args.system_out
     if args.witness:
         at = _int_tuple("--at", args.at)
-        sequence, covers, cert = phi_km._witness_at(args.p, args.k, args.M, at)
+        sequence, covers, cert = phi_km._witness_at(system, at)
         report["witness"] = {
             "length": cert.length,
             "sequence_points": [list(z) for z in sequence],
@@ -375,10 +383,9 @@ def cmd_cover(args) -> tuple[dict, int]:
     if args.phikm_origin:
         if args.p is None or args.k is None or args.M is None:
             raise systems.InputValidationError(["--phikm-origin needs --p, --k, --M"])
-        desc = phi_km.PhiDescriptor.make(args.p, args.k, args.M)
-        p, m = desc.p, desc.M
+        p, k, m = phi_km._parameters(args.p, args.k, args.M)
         origin = (0,) * m
-        points = [z for z in phi_km.s_km_points(p, desc.k, m) if z != origin]
+        points = [z for z in phi_km.s_km_points(p, k, m) if z != origin]
         excluded = [origin]
     elif args.points:
         with open(args.points, "r", encoding="utf-8") as fh:

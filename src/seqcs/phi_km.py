@@ -8,11 +8,14 @@ its form-level certificate, each part the set of simplex points that its
 cover subspace holds by construction (`phikm --verify` re-checks the parts
 with `verify_witness`), and constructs the unimodular product-of-binomials
 function family whose average over the system is exactly 1.
+
+The simplex is enumerated once per system: the witness recursion slices the
+lexicographic point list it is given, and its sequence and parts are indices
+into that list, so a certificate is built from the system `phi_system` made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb, prod
 
@@ -27,22 +30,16 @@ from .systems import LinearSystem
 SIMPLEX_ENTRY_GUARD = 10**6
 
 
-@dataclass(frozen=True)
-class PhiDescriptor:
-    p: Prime
-    k: int
-    M: int
-
-    @staticmethod
-    def make(p: int, k: int, M: int) -> "PhiDescriptor":
-        if M < 1 or k < 1:
-            raise ValueError("need M >= 1 and k >= 1")
-        prime = Prime(p)
-        return PhiDescriptor(prime, min(k, M * (prime - 1) + 1), M)
+def _parameters(p: int, k: int, M: int) -> tuple[Prime, int, int]:
+    """(p, k, M) checked, with k clamped to M(p-1)+1, past which the simplex stops growing."""
+    if M < 1 or k < 1:
+        raise ValueError("need M >= 1 and k >= 1")
+    prime = Prime(p)
+    return prime, min(k, M * (prime - 1) + 1), M
 
 
 def _simplex(p: int, k: int, M: int):
-    """Points z in [0,p-1]^M with z_1+...+z_M < k (sum in Z), lexicographic.
+    """The points of `s_km_points`, made one at a time.
 
     Depth first: the next point raises the last coordinate that can still
     grow with the digit sum below k and zeroes the ones after it, so no tuple
@@ -78,9 +75,8 @@ def s_km_points(p: int, k: int, M: int) -> list[tuple[int, ...]]:
 
 def phi_system(p: int, k: int, M: int) -> LinearSystem:
     """One form x + z_1·t_1 + ... + z_M·t_M per simplex point, in point order."""
-    desc = PhiDescriptor.make(p, k, M)
-    forms = tuple((1,) + z for z in s_km_points(desc.p, desc.k, desc.M))
-    return LinearSystem(desc.p, forms)
+    p, k, M = _parameters(p, k, M)
+    return LinearSystem(p, tuple((1,) + z for z in s_km_points(p, k, M)))
 
 
 def _slice_hyperplane(p: int, M: int, level: int) -> AffineSubspace:
@@ -99,24 +95,28 @@ def _embed_in_slice(sub: AffineSubspace, level: int, p: int, M: int) -> AffineSu
     return AffineSubspace(p, M, sub.basepoint + (level,), dirs, SpanBasis(p, M, dirs, sub.basis.pivots))
 
 
-def _witness_rec(p: int, k: int, M: int):
-    """Sequence, per-prefix covers and their parts on s_km_points(p, k, M).
+def _witness_rec(p: int, M: int, points: list[tuple[int, ...]]):
+    """Sequence, per-prefix covers and their parts on `points`, a simplex
+    s_km_points(p, k, M) in lexicographic order.
 
-    parts[j][t] lists, ascending, the simplex indices of the points outside
-    seq[:j+1] in covers[j][t]: a slice z_M = m holds the (M-1)-simplex for k-m
-    lifted by m, an embedded subspace its own part lifted by the slice level.
+    The sequence and each parts[j][t] (ascending) are indices into `points`;
+    parts[j][t] lists the points outside seq[:j+1] in covers[j][t].  Slice
+    z_M = m, the points whose last coordinate is m, is the (M-1)-simplex for
+    k-m lifted by m; an embedded subspace's part is its own part in the slice.
     """
     if M == 0:
-        return [()], [[]], [[]]
-    index_of = {z: i for i, z in enumerate(_simplex(p, k, M))}
-    slices = [tuple(index_of[y + (m,)] for y in _simplex(p, k - m, M - 1)) for m in range(min(k, p))]
+        return [0], [[]], [[]]
+    slices = [[] for _ in range(1 + max(z[-1] for z in points))]
+    for i, z in enumerate(points):
+        slices[z[-1]].append(i)
+    slices = [tuple(lift) for lift in slices]
     seq, covers, parts = [], [], []
-    for level in range(min(k, p) - 1, -1, -1):
-        sub_seq, sub_covers, sub_parts = _witness_rec(p, k - level, M - 1)
+    for level in range(len(slices) - 1, -1, -1):
         lift = slices[level]
+        sub_seq, sub_covers, sub_parts = _witness_rec(p, M - 1, [points[i][:-1] for i in lift])
         below = [_slice_hyperplane(p, M, m) for m in range(level)]
         for point, cover, cover_parts in zip(sub_seq, sub_covers, sub_parts):
-            seq.append(point + (level,))
+            seq.append(lift[point])
             covers.append([_embed_in_slice(s, level, p, M) for s in cover] + below)
             parts.append([tuple(lift[i] for i in part) for part in cover_parts] + slices[:level])
     return seq, covers, parts
@@ -131,36 +131,39 @@ def phi_witness(p: int, k: int, M: int):
     coordinate are consumed from p-1 down to 0; within a slice the order is
     the (M-1)-dimensional construction.
     """
-    desc = PhiDescriptor.make(p, k, M)
-    seq, covers, _ = _witness_rec(int(desc.p), desc.k, desc.M)
-    return seq, covers
+    p, k, M = _parameters(p, k, M)
+    points = s_km_points(p, k, M)
+    seq, covers, _ = _witness_rec(int(p), M, points)
+    return [points[i] for i in seq], covers
 
 
-def _witness_at(p: int, k: int, M: int, at=None):
-    """`phi_witness` truncated to end at `at`, and its certificate of parameter k-2.
+def _witness_at(system: LinearSystem, at=None):
+    """`phi_witness` truncated to end at `at`, and its certificate of parameter k-2,
+    for the system that `phi_system` built.
 
-    The forms have a leading ones column, so a part of points off the prefix
-    spans no prefix form when its cover subspace avoids the prefix points.
+    The simplex's k, clamped as `phi_system` clamps it, is one more than its
+    largest digit sum.  The forms have a leading ones column, so a part of
+    points off the prefix spans no prefix form when its cover subspace avoids
+    the prefix points.
     """
+    points = [form[1:] for form in system.forms]
+    k, M = 1 + max(map(sum, points)), system.d - 1
     if k < 2:
         raise ValueError("certificates need k >= 2 (cover size k-1 >= 1 part)")
-    desc = PhiDescriptor.make(p, k, M)
-    p, k, M = int(desc.p), desc.k, desc.M
-    seq_pts, covers_geo, parts = _witness_rec(p, k, M)
     target = tuple(at) if at is not None else (0,) * M
-    if target not in seq_pts:
+    if target not in points:
         raise ValueError(f"{target} is not a simplex point")
-    ell = seq_pts.index(target) + 1
-    index_of = {z: i for i, z in enumerate(s_km_points(p, k, M))}
-    sequence = tuple(index_of[z] for z in seq_pts[:ell])
+    seq, covers_geo, parts = _witness_rec(int(system.p), M, points)
+    ell = seq.index(points.index(target)) + 1
+    sequence = tuple(seq[:ell])
     covers = tuple(CoverCertificate(sequence[:j], tuple(parts[j - 1]), k - 2) for j in range(1, ell + 1))
-    cert = WitnessCertificate(phi_system(p, k, M).digest(), sequence[-1], k - 2, sequence, covers)
-    return seq_pts[:ell], covers_geo[:ell], cert
+    cert = WitnessCertificate(system.digest(), sequence[-1], k - 2, sequence, covers)
+    return [points[i] for i in sequence], covers_geo[:ell], cert
 
 
 def phi_witness_certificate(p: int, k: int, M: int, at=None) -> WitnessCertificate:
     """Form-level witness for the progression system, truncated to end at `at`."""
-    return _witness_at(p, k, M, at)[2]
+    return _witness_at(phi_system(p, k, M), at)[2]
 
 
 def default_weight(p: int, k: int, M: int) -> tuple[int, ...]:
@@ -217,8 +220,7 @@ def counterexample_family(p: int, k: int, M: int, w=None, ell: int = 1) -> list[
     f_z = e_p((-1)^{|z|}·C(w_1,z_1)···C(w_M,z_M)·P) at ell=1; higher ell takes
     coordinatewise products on F_p^{ell·M}.  Ordered like s_km_points.
     """
-    desc = PhiDescriptor.make(p, k, M)
-    p, k, M = int(desc.p), desc.k, desc.M
+    p, k, M = _parameters(p, k, M)
     w = _validate_weight(p, k, M, w if w is not None else default_weight(p, k, M))
     poly = phase_polynomial_table(p, k, M, w)
     tables = []
@@ -238,8 +240,7 @@ def gray_code_check(
     `polynomial` overrides the table (used to confirm that bumping the degree
     breaks the vanishing).
     """
-    desc = PhiDescriptor.make(p, k, M)
-    p, k, M = int(desc.p), desc.k, desc.M
+    p, k, M = _parameters(p, k, M)
     w = _validate_weight(p, k, M, w if w is not None else default_weight(p, k, M))
     poly = polynomial if polynomial is not None else phase_polynomial_table(p, k, M, w)
     rng = np.random.default_rng(seed)

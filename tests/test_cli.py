@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcs import cli, covering, systems
+from seqcs import cli, covering, phi_km, systems
 from seqcs.analysis import FunctionTable, quadratic_table
 from seqcs.cli import _emit, _json_chunks, _json_text, build_parser, main
 from seqcs.covering import AffineCover, AffineSubspace
@@ -347,6 +348,55 @@ def test_gvn_at_origin_counterexample(files, capsys, tmp_path):
     rec = report["report"]["records"][0]
     assert rec["abs_lambda"] == pytest.approx(1.0, abs=1e-12)
     assert rec["norm"] == pytest.approx(1.0, abs=1e-12)
+
+
+def phi342_variant(kind):
+    """phi(3,4,2) with its forms shuffled, its variables scaled by (1, 2, 2) or a copy of column 1 appended."""
+    forms = [list(f) for f in phi_system(3, 4, 2).forms]
+    if kind == "shuffled":
+        random.Random(0).shuffle(forms)
+    elif kind == "scaled":
+        forms = [[a, 2 * b % 3, 2 * c % 3] for a, b, c in forms]
+    elif kind == "copied-column":
+        forms = [f + [f[1]] for f in forms]
+    return {"p": 3, "forms": forms}
+
+
+@pytest.mark.parametrize("kind", ["scaled", "copied-column"])
+def test_gvn_counterexample_holds_under_a_change_of_variables(capsys, tmp_path, kind):
+    sys_path = tmp_path / "phi342.json"
+    sys_path.write_text(json.dumps(phi342_variant(kind)))
+    code, report = run(
+        capsys,
+        "gvn", "--system", str(sys_path), "--at-origin", "--k", "2", "--ell", "8", "--n", "2",
+        "--family", "counterexample", "--phi-k", "4", "--phi-M", "2",
+    )
+    assert code == 0
+    assert report["report"]["records"][0]["abs_lambda"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind, phi_k", [("shuffled", "4"), ("in-order", "3")])
+def test_gvn_counterexample_refuses_a_system_that_is_not_its_phi(capsys, tmp_path, kind, phi_k):
+    """The family is ordered like s_km_points: shuffled forms, or phi(3,4,2) under --phi-k 3, exit 2."""
+    sys_path = tmp_path / "phi342.json"
+    sys_path.write_text(json.dumps(phi342_variant(kind)))
+    code = main(["gvn", "--system", str(sys_path), "--at-origin", "--k", "2", "--ell", "8", "--n", "2",
+                 "--family", "counterexample", "--phi-k", phi_k, "--phi-M", "2"])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"input error: --phi-k {phi_k} --phi-M 2: the system is not phi(3, {phi_k}, 2) "
+                                       "up to a change of variables, with its forms in s_km_points order\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["phikm", "--p", "3", "--k", "4", "--M", "2", "--witness"],
+    ["cover", "--phikm-origin", "--p", "3", "--k", "4", "--M", "2"],
+], ids=["phikm-witness", "cover-phikm-origin"])
+def test_phi_runs_enumerate_the_simplex_once(capsys, monkeypatch, argv):
+    calls = []
+    simplex = phi_km._simplex
+    monkeypatch.setattr(phi_km, "_simplex", lambda *args: calls.append(args) or simplex(*args))
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_gowers_command(files, capsys, tmp_path):

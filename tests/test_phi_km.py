@@ -8,8 +8,8 @@ from seqcs.analysis import gowers_norm, gowers_norm_direct, lambda_average, tens
 from seqcs.complexity import CoverCertificate, WitnessCertificate, verify_witness
 from seqcs.covering import AffineCover, AffineSubspace, verify_cover
 from seqcs.phi_km import (
-    PhiDescriptor,
     _embed_in_slice,
+    _parameters,
     _simplex,
     _witness_at,
     binomial_product_table,
@@ -61,16 +61,15 @@ def s_km_size_recurrence(p, k, M):
     return sum(s_km_size_recurrence(p, k - j, M - 1) for j in range(p))
 
 
-def simplex_size(desc):
-    """|S_{k,M}| of a descriptor, counted off the point generator without a list."""
-    return sum(1 for _ in _simplex(desc.p, desc.k, desc.M))
+def simplex_size(p, k, M):
+    """|S_{k,M}| of checked parameters, counted off the point generator without a list."""
+    return sum(1 for _ in _simplex(p, k, M))
 
 
 def scanned_witness(p, k, M, at=None):
     """Oracle for `_witness_at`: each certificate part collects, by membership
     tests, the remaining simplex points that its cover subspace contains."""
-    desc = PhiDescriptor.make(p, k, M)
-    p, k, M = int(desc.p), desc.k, desc.M
+    p, k, M = _parameters(p, k, M)
     points = s_km_points(p, k, M)
     index_of = {z: i for i, z in enumerate(points)}
     seq_pts, covers_geo = phi_witness(p, k, M)
@@ -121,15 +120,17 @@ def test_s_km_points_refuse_a_huge_simplex(p, k, M):
     with pytest.raises(ValueError, match=f"^M={M}: "):
         s_km_points(p, k, M)
     with pytest.raises(ValueError, match=f"^M={M}: "):
-        simplex_size(PhiDescriptor.make(p, k, M))
+        simplex_size(*_parameters(p, k, M))
 
 
 def test_descriptor_clamps():
-    desc = PhiDescriptor.make(3, 99, 2)
-    assert desc.k == 5
-    assert simplex_size(desc) == 9
-    with pytest.raises(ValueError):
-        PhiDescriptor.make(4, 3, 2)
+    assert _parameters(3, 99, 2) == (3, 5, 2)
+    assert simplex_size(*_parameters(3, 99, 2)) == 9
+    with pytest.raises(ValueError, match="^modulus 4 is not prime$"):
+        _parameters(4, 3, 2)
+    for k, M in [(0, 2), (3, 0)]:
+        with pytest.raises(ValueError, match="^need M >= 1 and k >= 1$"):
+            _parameters(3, k, M)
 
 
 def test_phi_system_progression():
@@ -187,7 +188,7 @@ def test_phi_witness_parts_match_the_membership_scan():
     ]
     cases += [(p, 4, 2, z) for p in (3, 5) for z in s_km_points(p, 4, 2)]
     for p, k, M, at in cases:
-        built, oracle = _witness_at(p, k, M, at), scanned_witness(p, k, M, at)
+        built, oracle = _witness_at(phi_system(p, k, M), at), scanned_witness(p, k, M, at)
         assert built == oracle, (p, k, M, at)
         assert built[2].to_json() == oracle[2].to_json()
         assert built[2] == phi_witness_certificate(p, k, M, at)
