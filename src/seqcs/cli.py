@@ -20,14 +20,21 @@ first build.
 
 JSON reports are written by `_json_chunks`, which yields the bytes of
 `json.dumps(report, indent=1)` in pieces: a report written with `--out` is
-streamed to the file piece by piece and is never held whole, and stdout gets
-the joined pieces (`_json_text`).  Each flat list of plain ints, dict of
-scalars and list of plain-int rows (the forms and index lists that make up
-most of a reduction chain) is one `str.join`, a large matrix split after
-whole rows; any other container is written child by child.  Plain ints and
-finite floats are written by their `repr`, as `json` writes them; every
-other scalar (strings, bools, None, NaN and ±Infinity, subclasses) is
-encoded by `json.dumps` itself.
+streamed to the file piece by piece and is never held whole (its first 64 K
+characters, a small report whole, are made before the file is opened), and
+stdout gets the joined pieces (`_json_text`).
+
+The scalar-row rule: a list whose items all have exact type int, bool,
+float or NoneType, and a list of such nonempty rows (the forms, index lists
+and slot pairs that make up most of a reduction chain; a large matrix split
+after whole rows), is one compact `json` encode, which runs in C, indented
+by `str.replace`.  No such item's JSON text holds a `,`, `[` or `]`, so
+every one in the encoded text is a separator.  A dict of scalars is one
+`str.join`; any other container (holding strings, int subclasses or empty
+rows) is written child by child.  Outside rows, plain ints and finite floats
+are written by their `repr`, as `json` writes them; every other scalar
+(strings, bools, None, NaN and ±Infinity, subclasses) is encoded by
+`json.dumps` itself.
 """
 
 from __future__ import annotations
@@ -39,12 +46,14 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 from . import analysis, complexity, covering, field, phi_km, reduction, systems
 from .covering import SearchGuardExceeded
 
 TOL_INEQUALITY = 1e-9
-_PIECE_INTS = 1 << 14
+_HEAD_CHARS = 1 << 16
+_PIECE_INTS = 1 << 13  # items per matrix piece; `json`'s encoder holds one string per item until it joins them
 
 
 def _json_scalar(obj) -> str:
@@ -54,37 +63,49 @@ def _json_scalar(obj) -> str:
     return json.dumps(obj)
 
 
-def _int_row(obj) -> bool:
-    """Whether obj is a nonempty list or tuple of plain ints (bools and int subclasses go item by item)."""
-    return isinstance(obj, (list, tuple)) and bool(obj) and set(map(type, obj)) == {int}
+# One compact encode runs in C.  No JSON text of these scalars holds a `,`, `[`
+# or `]`, so every comma and bracket in an encoded row or block is a separator.
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_ROW_SCALARS = frozenset((int, bool, float, type(None)))
+_ROW_TYPES = frozenset((list, tuple))
+
+
+def _rows_text(rows, inner: str) -> str:
+    """The scalar rows of one block, indented at `inner` and joined by `,` + inner."""
+    row_inner = inner + " "
+    body = _compact(rows)[2:-2].replace(",", "," + row_inner)
+    return "[" + row_inner + body.replace("]," + row_inner + "[", inner + "]," + inner + "[" + row_inner) + inner + "]"
 
 
 def _json_chunks(obj, level: int = 0):
     """`json.dumps(obj, indent=1)` at nesting depth `level`, in pieces whose
     concatenation is that text byte for byte.
 
-    A flat list of plain ints and a dict of scalars are one piece each, and
-    so is a list of plain-int rows (form matrices, cover parts) of up to
-    _PIECE_INTS ints; a larger one is split after whole rows, so no piece
-    holds much more than that.  Any other container is written child by child.
+    A scalar row (a nonempty list of ints, bools, floats and None, by exact
+    type) and a dict of scalars are one piece each, and so is a list of
+    scalar rows (form matrices, cover parts, slot pairs) of up to _PIECE_INTS
+    items; a larger one is split after whole rows, so no piece holds much
+    more than that.  Rows are encoded compactly by `json` in one call per
+    piece, then indented by `str.replace`.  Any other container (strings,
+    int subclasses, empty rows) is written child by child.
     """
     pad = "\n" + " " * level
     inner = pad + " "
     if isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
         if not obj:
             yield "[]"
-        elif _int_row(obj):
-            yield "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]"
-        elif all(map(_int_row, obj)):  # a matrix, split after the row that brings a piece to _PIECE_INTS ints
-            row_inner = inner + " "
-            head, rows, held = "[", [], 0
-            for row in obj:
-                rows.append("[" + row_inner + ("," + row_inner).join(map(int.__repr__, row)) + inner + "]")
+        elif kinds <= _ROW_SCALARS:
+            yield "[" + inner + _compact(obj)[1:-1].replace(",", "," + inner) + pad + "]"
+        elif kinds <= _ROW_TYPES and all(obj) and set(map(type, chain.from_iterable(obj))) <= _ROW_SCALARS:
+            # a matrix of scalar rows, split after the row that brings a piece to _PIECE_INTS items
+            head, start, held = "[", 0, 0
+            for end, row in enumerate(obj, 1):
                 held += len(row)
                 if held >= _PIECE_INTS:
-                    yield head + inner + ("," + inner).join(rows)
-                    head, rows, held = ",", [], 0
-            yield (head + inner + ("," + inner).join(rows) if rows else "") + pad + "]"
+                    yield head + inner + _rows_text(obj[start:end], inner)
+                    head, start, held = ",", end, 0
+            yield (head + inner + _rows_text(obj[start:], inner) if start < len(obj) else "") + pad + "]"
         else:
             head = "["
             for x in obj:
@@ -118,8 +139,17 @@ def _json_text(obj, level: int = 0) -> str:
 def _emit(report: dict, args) -> None:
     if args.output == "json":
         if getattr(args, "out", None):
+            # the pieces of the first _HEAD_CHARS characters, a small report whole, are made before the file
+            # is opened: making them with the file open measured slower; the rest is streamed
+            pieces, head, held = _json_chunks(report), [], 0
+            for piece in pieces:
+                head.append(piece)
+                held += len(piece)
+                if held >= _HEAD_CHARS:
+                    break
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.writelines(_json_chunks(report))
+                fh.write("".join(head))
+                fh.writelines(pieces)
                 fh.write("\n")
             return
         text = _json_text(report)
@@ -316,7 +346,9 @@ def cmd_gvn(args) -> tuple[dict, int]:
                 f"{args.phi_m}) up to a change of variables, with its forms in s_km_points order"
             ])
         try:
-            tables = phi_km.counterexample_family(int(system.p), args.phi_k, args.phi_m, w, args.ell_family)
+            tables = phi_km.counterexample_family(
+                int(system.p), args.phi_k, args.phi_m, w, args.ell_family, points=[f[1:] for f in phi.forms]
+            )
         except analysis.EnumerationGuardExceeded as exc:  # the product-table guard, which names its level ell
             detail = str(exc).removeprefix(f"ell = {args.ell_family}: ")
             raise analysis.EnumerationGuardExceeded(f"--ell-family {args.ell_family}: {detail}") from None

@@ -9,9 +9,12 @@ the exception and takes canonical residues, so its callers
 
 Bulk elimination (`rref`, `span_basis`, and through them `rank` and
 `solve_right`) runs on one numpy kernel, `_rref_array`:
-each pivot is one vectorised row operation over the rows that need it.  It
-is exact for every prime: below 2^31 it works in int64, where every product
-of two residues stays below 2^62; from 2^31 on the same code runs on Python
+each pivot is one vectorised row operation over the rows that need it.
+`complete_rows` maps a whole system through a completing transform in one
+array operation; `apply_completing` is its one-form counterpart.  Both
+array routines take their arrays from `residue_array` and are exact for
+every prime: below 2^31 they work in int64, where every product of two
+residues stays below 2^62; from 2^31 on the same code runs on Python
 integers (dtype object).
 """
 
@@ -93,20 +96,26 @@ def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
 _INT64_EXACT_BELOW = 1 << 31  # residues below 2^31: products stay below 2^62
 
 
+def residue_array(rows, p: int) -> np.ndarray:
+    """The rows' entries mod p as a 2-D array: int64 below 2^31, where no
+    product of two residues reaches 2^62, and Python integers (dtype object)
+    from 2^31 on."""
+    if p >= _INT64_EXACT_BELOW:
+        return np.array(rows, dtype=object) % p
+    try:
+        return np.array(rows, dtype=np.int64) % p
+    except OverflowError:
+        return (np.array(rows, dtype=object) % p).astype(np.int64)
+
+
 def _rref_array(rows: list, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p of a nonempty list of equal-length rows.
 
-    Returns it as a 2-D array (int64, or Python ints from 2^31 on) with its
-    pivot columns.  Each pivot row is scaled to a unit pivot, and one row
+    Returns it as a 2-D array (`residue_array`'s dtype) with its pivot
+    columns.  Each pivot row is scaled to a unit pivot, and one row
     operation clears the pivot column in the rows that have an entry there.
     """
-    if p >= _INT64_EXACT_BELOW:
-        m = np.array(rows, dtype=object) % p
-    else:
-        try:
-            m = np.array(rows, dtype=np.int64) % p
-        except OverflowError:
-            m = (np.array(rows, dtype=object) % p).astype(np.int64)
+    m = residue_array(rows, p)
     nrows, ncols = m.shape
     pivots: list[int] = []
     rnk = 0
@@ -230,6 +239,21 @@ def apply_completing(f: Sequence[int], v: Sequence[int], p: int) -> Vector:
         raise ValueError("zero form cannot be normalized")
     c = f[piv] * pow(w[piv], -1, p) % p
     return (c,) + tuple((f[t] - c * w[t]) % p for t in range(len(w)) if t != piv)
+
+
+def complete_rows(rows, v: Sequence[int], p: int) -> np.ndarray:
+    """`apply_completing(f, v, p)` for every row f of a nonempty list, as one
+    `residue_array` with the images as rows."""
+    m = residue_array(rows, p)
+    w = vec(v, p)
+    piv = next((j for j, x in enumerate(w) if x), None)
+    if piv is None:
+        raise ValueError("zero form cannot be normalized")
+    rest = [t for t in range(len(w)) if t != piv]
+    out = np.empty_like(m)
+    out[:, 0] = m[:, piv] * pow(w[piv], -1, p) % p
+    out[:, 1:] = (m[:, rest] - out[:, :1] * np.array([w[t] for t in rest], dtype=m.dtype)) % p
+    return out
 
 
 def completing_transform(v: Sequence[int], p: int) -> Matrix:

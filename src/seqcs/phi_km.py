@@ -214,17 +214,19 @@ def phase_polynomial_table(p: int, k: int, M: int, w) -> np.ndarray:
     return binomial_product_table(p, M, (w[0] - 1,) + w[1:])
 
 
-def counterexample_family(p: int, k: int, M: int, w=None, ell: int = 1) -> list[FunctionTable]:
+def counterexample_family(p: int, k: int, M: int, w=None, ell: int = 1, points=None) -> list[FunctionTable]:
     """Unimodular tuple (f_z) with Λ over the progression system exactly 1.
 
     f_z = e_p((-1)^{|z|}·C(w_1,z_1)···C(w_M,z_M)·P) at ell=1; higher ell takes
-    coordinatewise products on F_p^{ell·M}.  Ordered like s_km_points.
+    coordinatewise products on F_p^{ell·M}.  Ordered like s_km_points, or
+    like `points` when given: the simplex points a caller already holds,
+    such as the forms of `phi_system(p, k, M)` without their ones column.
     """
     p, k, M = _parameters(p, k, M)
     w = _validate_weight(p, k, M, w if w is not None else default_weight(p, k, M))
     poly = phase_polynomial_table(p, k, M, w)
     tables = []
-    for z in s_km_points(p, k, M):
+    for z in s_km_points(p, k, M) if points is None else points:
         base = phase_table(p, M, (_signed_binomial(w, z) % p) * poly % p)
         tables.append(base if ell == 1 else tensor_product_table(base, ell))
     return tables

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .analysis import DEFAULT_POINT_GUARD, LambdaEvaluator, _trial_blocks, check_trials
 from .complexity import CoverCertificate, WitnessCertificate, verify_witness
-from .field import Matrix, Vector, apply_completing, completing_transform, span_basis
+from .field import Matrix, complete_rows, completing_transform, span_basis
 from .systems import LinearSystem
 
 MAX_FORMS = 1 << 12
@@ -92,17 +92,12 @@ def cs_step(system: LinearSystem, witness: WitnessCertificate) -> ReductionStep:
     new_index = {old: new for new, old in enumerate(permutation)}
     relabeled = [system.forms[old] for old in permutation]
     transform = completing_transform(relabeled[0], p)
-    transformed = [apply_completing(f, relabeled[0], p) for f in relabeled]
+    transformed = tuple(map(tuple, complete_rows(relabeled, relabeled[0], p).tolist()))
     assert transformed[0] == (1,) + (0,) * (d - 1)
-    transformed_system = LinearSystem(p, tuple(transformed))
-
-    out_forms: list[Vector] = []
-    for pos in range(1, r):
-        out_forms.append(transformed[pos] + (0,) * (d - 1))
-    for pos in range(1, r):
-        f = transformed[pos]
-        out_forms.append((f[0],) + (0,) * (d - 1) + f[1:])
-    output = LinearSystem(p, tuple(out_forms))
+    transformed_system = LinearSystem(p, transformed)
+    rest, zeros = transformed[1:], (0,) * (d - 1)
+    # first block on the shared variables, second with x shared and the rest duplicated
+    output = LinearSystem(p, tuple(f + zeros for f in rest) + tuple((f[0],) + zeros + f[1:] for f in rest))
     slots = tuple(FunctionSlot(pos, False) for pos in range(1, r)) + tuple(
         FunctionSlot(pos, True) for pos in range(1, r)
     )

@@ -390,8 +390,12 @@ def test_gvn_counterexample_refuses_a_system_that_is_not_its_phi(capsys, tmp_pat
 @pytest.mark.parametrize("argv", [
     ["phikm", "--p", "3", "--k", "4", "--M", "2", "--witness"],
     ["cover", "--phikm-origin", "--p", "3", "--k", "4", "--M", "2"],
-], ids=["phikm-witness", "cover-phikm-origin"])
-def test_phi_runs_enumerate_the_simplex_once(capsys, monkeypatch, argv):
+    ["gvn", "--system", "phi342.json", "--at-origin", "--k", "2", "--ell", "8", "--n", "2",
+     "--family", "counterexample", "--phi-k", "4", "--phi-M", "2"],
+], ids=["phikm-witness", "cover-phikm-origin", "gvn-counterexample"])
+def test_phi_runs_enumerate_the_simplex_once(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "phi342.json").write_text(json.dumps(phi342_variant("in-order")))
     calls = []
     simplex = phi_km._simplex
     monkeypatch.setattr(phi_km, "_simplex", lambda *args: calls.append(args) or simplex(*args))
@@ -626,13 +630,40 @@ JSON_SCALARS = st.one_of(
     st.text(max_size=6),
     st.sampled_from(["é", "日本", "\n\t\"\\/", "\u2028", "\x00\x1f", "\ud800", "\U0001f600"]),
 )
+
+
+class TaggedInt(int):
+    """An int subclass whose repr is not its JSON text: json writes it by int.__repr__."""
+
+    def __repr__(self):
+        return f"TaggedInt({int(self)})"
+
+
 INT_LISTS = st.lists(st.integers() | st.integers(2**63, 2**80) | st.booleans(), max_size=6)
-INT_ROWS = st.lists(st.integers(), min_size=1, max_size=5)
-# int matrices, and lists of int rows mixed with other rows and scalars
-ROW_LISTS = st.lists(INT_ROWS, min_size=1, max_size=6) | st.lists(INT_ROWS | INT_LISTS | JSON_SCALARS, max_size=6)
+# the items a scalar row may hold, by exact type: ints (past 2^64 too), bools, floats and None
+ROW_SCALARS = st.one_of(
+    st.integers(),
+    st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**64)),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf"), 5e-324]),
+)
+# items that keep a row off the one-encode path: strings holding the separators, int subclasses
+ROW_BREAKERS = st.one_of(
+    st.sampled_from([",", "[", "]", "],[", "[1,2]", "],\n[", "a, b"]),
+    st.text(alphabet=",[] 0", max_size=5),
+    st.integers().map(TaggedInt),
+)
+SCALAR_ROWS = st.lists(ROW_SCALARS, min_size=1, max_size=1) | st.lists(ROW_SCALARS, min_size=1, max_size=5)
+MIXED_ROWS = st.lists(ROW_SCALARS | ROW_BREAKERS, min_size=1, max_size=5)
+# scalar-row matrices, and lists of scalar rows mixed with other rows and scalars
+ROW_LISTS = st.lists(SCALAR_ROWS, min_size=1, max_size=6) | st.lists(
+    SCALAR_ROWS | MIXED_ROWS | INT_LISTS | JSON_SCALARS | ROW_BREAKERS, max_size=6
+)
 JSON_KEYS = st.text(max_size=4) | st.sampled_from(["é", "\"", "a\nb"])
 JSON_VALUES = st.recursive(
-    JSON_SCALARS | INT_LISTS | ROW_LISTS,
+    JSON_SCALARS | INT_LISTS | SCALAR_ROWS | MIXED_ROWS | ROW_LISTS,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=3).map(tuple)
     | st.dictionaries(JSON_KEYS, inner, max_size=4)
@@ -644,7 +675,7 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=400)
 @given(JSON_VALUES, st.integers(0, 3), st.sampled_from([1, 2, 5, 1 << 14]))
 def test_report_writer_matches_json_dumps(obj, level, piece_ints):
-    """The pieces, with int matrices split after any number of ints, join to json.dumps's text at `level`."""
+    """The pieces, with scalar-row matrices split after any number of items, join to json.dumps's text at `level`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_PIECE_INTS", piece_ints)
         assert "".join(_json_chunks(obj, level)) == json.dumps(obj, indent=1).replace("\n", "\n" + " " * level)

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from seqcs.field import (
     Matrix,
     SpanBasis,
     apply_completing,
+    complete_rows,
     completing_transform,
     in_affine_span,
     in_span,
@@ -418,3 +420,25 @@ def test_apply_completing_is_the_product_with_completing_transform(instance):
 def test_apply_completing_zero_rejected():
     with pytest.raises(ValueError, match="zero form"):
         apply_completing((1, 2), (0, 0), 5)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([2, 3, 7, PRIME_BELOW_2_31, PRIME_ABOVE_2_31, 2**61 - 1]).flatmap(
+    lambda p: st.integers(1, 5).flatmap(lambda d: st.tuples(
+        st.just(p),
+        st.lists(st.tuples(*[st.integers(-2 * p, 2 * p) | st.integers(0, 3)] * d), min_size=1, max_size=6),
+        st.integers(0, 5)))))
+def test_complete_rows_maps_each_row_as_apply_completing(instance):
+    """The array map agrees with the per-form map row by row, in int64 below 2^31
+    and on Python integers above, with any row of the system as v."""
+    p, rows, at = instance
+    v = rows[at % len(rows)]
+    assume(any(x % p for x in v))
+    out = complete_rows(rows, v, p)
+    assert out.dtype == (object if p >= 2**31 else np.int64)
+    assert [tuple(row) for row in out.tolist()] == [apply_completing(f, v, p) for f in rows]
+
+
+def test_complete_rows_zero_rejected():
+    with pytest.raises(ValueError, match="zero form"):
+        complete_rows([(1, 2)], (0, 5), 5)
