@@ -673,7 +673,7 @@ JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=400)
-@given(JSON_VALUES, st.integers(0, 3), st.sampled_from([1, 2, 5, 1 << 14]))
+@given(JSON_VALUES, st.integers(0, 3), st.sampled_from([1, 2, 5, cli._PIECE_INTS]))
 def test_report_writer_matches_json_dumps(obj, level, piece_ints):
     """The pieces, with scalar-row matrices split after any number of items, join to json.dumps's text at `level`."""
     with pytest.MonkeyPatch.context() as mp:
