@@ -5,11 +5,13 @@ report, with the full run configuration (including seeds, tolerances and size
 guards) first under `config`, so any emitted report can be reproduced
 bit-for-bit by re-running the embedded config.  Exit codes: 0 success/pass,
 1 negative-but-valid result (infeasible, none found, verification fail,
-inequality violation), 2 input error.  A run that exits 0 or 1 writes exactly
-one report; a run that exits 2 writes none and says why on stderr.  A command
-with side files (`phikm --system-out/--cert-out`) returns them as a third
-item, path to JSON object; `main` checks their paths first and writes them
-only after the report, so a run whose report fails leaves none behind.
+inequality violation), 2 input error, or an output closed before the report
+was written (stdout piped into `head`), when part of the report may already
+have gone out.  A run that exits 0 or 1 writes exactly one report; any other
+run that exits 2 writes none, and every run that exits 2 says why on stderr.
+A command with side files (`phikm --system-out/--cert-out`) returns them as a
+third item, path to JSON object; `main` checks their paths first and writes
+them only after the report, so a run whose report fails leaves none behind.
 
 `main(argv)` may be called repeatedly in one process.  It builds its parser
 once, on the first call, and reuses it: parsing makes a fresh namespace per
@@ -345,6 +347,11 @@ def cmd_gvn(args) -> tuple[dict, int]:
                 f"--phi-k {args.phi_k} --phi-M {args.phi_m}: the system is not phi({phi.p}, {args.phi_k}, "
                 f"{args.phi_m}) up to a change of variables, with its forms in s_km_points order"
             ])
+        if args.n != args.phi_m * args.ell_family:  # the tables live on F_p^(M·ell)
+            raise ValueError(
+                f"--n {args.n}: --family counterexample needs --n = --phi-M × --ell-family"
+                f" = {args.phi_m} × {args.ell_family} = {args.phi_m * args.ell_family}"
+            )
         try:
             tables = phi_km.counterexample_family(
                 int(system.p), args.phi_k, args.phi_m, w, args.ell_family, points=[f[1:] for f in phi.forms]
@@ -565,6 +572,10 @@ def main(argv=None) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(obj, fh)
         return code
+    except BrokenPipeError as exc:  # an OSError, but the output's fault, not the input's
+        where = "--out" if getattr(args, "out", None) else "stdout"
+        print(f"output error: {where} closed before the report was written: {exc}", file=sys.stderr)
+        return 2
     except (systems.InputValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

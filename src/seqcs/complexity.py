@@ -9,10 +9,12 @@ maximal closures loses no covers), and the set-cover step is branch and bound.
 The closures are flats of the matroid the forms represent.  `flat_lattice`
 enumerates them once per system with `covering.closure_walk`, nothing
 excluded, and memoises them on the frozen `LinearSystem` as bitmasks with the
-bitmasks of their children; each query, one per form in `complexity_report`
-and one per prefix in `sequential_witness`, is then a bitmask filter
-(`admissible_flats`).  The same walk yields the affine-span pools of
-`seqcs.covering` from lifted points, one walk per query there.
+bitmasks of their children.  A query depends on its excluded forms alone,
+one form in `complexity_report` and one prefix in `sequential_witness`:
+`admissible_flats` filters the lattice for it, and `exact_set_cover` covers
+the forms outside it, all as int bitmasks of form indices; only the parts a
+cover picks become index tuples.  The same walk yields the affine-span pools
+of `seqcs.covering` from lifted points, one walk per query there.
 """
 
 from __future__ import annotations
@@ -112,25 +114,26 @@ class WitnessCertificate:
 
 
 def flat_lattice(system: LinearSystem, node_guard: int = NODE_GUARD):
-    """Every flat of the system's forms as (indices, mask, child masks), sorted by indices.
+    """Every flat of the system's forms as (mask, child masks), sorted by `mask_indices`.
 
     The nodes of one `closure_walk` of the forms with nothing excluded: each
-    flat's index set, ascending, the same set as an int bitmask, and the
-    bitmasks of its children.  Memoised on the instance, which is frozen, as
-    `LinearSystem.digest` is.  A memo of more flats than `node_guard` is
-    walked again, so the guard trips, with the same message, whether or not
-    the lattice is already known.
+    flat's index set as an int bitmask, and the bitmasks of its children.
+    Memoised on the instance, which is frozen, as `LinearSystem.digest` is.
+    A memo of more flats than `node_guard` is walked again, so the guard
+    trips, with the same message, whether or not the lattice is already
+    known.
     """
     flats = system._flats
     if flats is None or len(flats) > node_guard:
         nodes = closure_walk(system.forms, (), system.p, node_guard)
-        flats = tuple(sorted((mask_indices(cl), cl, tuple(kids)) for cl, kids in nodes))
+        flats = tuple(sorted(((cl, tuple(kids)) for cl, kids in nodes), key=lambda flat: mask_indices(flat[0])))
         object.__setattr__(system, "_flats", flats)
     return flats
 
 
 def admissible_flats(system: LinearSystem, excluded, node_guard: int = NODE_GUARD):
-    """Maximal flats of the forms that miss every excluded form, sorted by content.
+    """Maximal flats of the forms that miss every excluded form, as int bitmasks
+    sorted by `mask_indices`.
 
     `excluded` holds form indices.  One bitmask filter over `flat_lattice`:
     a flat F is kept when it misses the excluded set E and each of its
@@ -144,42 +147,37 @@ def admissible_flats(system: LinearSystem, excluded, node_guard: int = NODE_GUAR
         return None
     banned = sum(1 << t for t in set(excluded))
     return [
-        flat
-        for flat, mask, kids in flat_lattice(system, node_guard)
+        mask
+        for mask, kids in flat_lattice(system, node_guard)
         if not mask & banned and all(kid & banned for kid in kids)
     ]
 
 
 def admissible_cover(
     system: LinearSystem,
-    to_cover,
     excluded,
     max_parts: int | None,
     node_guard: int = NODE_GUARD,
 ) -> CoverCertificate | None:
-    """Cover of `to_cover` by <= max_parts admissible parts, or None if impossible.
+    """Cover of the forms outside `excluded` by <= max_parts admissible parts, or None.
 
     Exact: None is returned only when no such cover exists.  Deterministic:
     the lexicographically least minimum-size cover under the sorted part order.
     With max_parts None the size is unbounded and the certificate's k is the
-    least one the cover proves, max(parts - 1, 0).  The parts are drawn from
-    `admissible_flats`.
+    least one the cover proves, max(parts - 1, 0).  The parts are the bitmasks
+    of `admissible_flats`; only the picked ones become index tuples.
     """
     targets = tuple(excluded)
-    goal = tuple(dict.fromkeys(to_cover))
-    if set(goal) & set(targets):
-        raise ValueError("to_cover and excluded overlap")
-    if not goal:
+    universe = ((1 << system.r) - 1) & ~sum(1 << t for t in set(targets))
+    if not universe:
         return CoverCertificate(targets, (), 0 if max_parts is None else max(max_parts - 1, -1))
     pool = admissible_flats(system, targets, node_guard)
     if pool is None:
         return None
-    position = {j: pos for pos, j in enumerate(goal)}
-    restricted = [frozenset(position[j] for j in part if j in position) for part in pool]
-    picked = exact_set_cover(len(goal), restricted, max_parts, node_guard)
+    picked = exact_set_cover(universe, pool, max_parts, node_guard)
     if picked is None:
         return None
-    parts = tuple(pool[ci] for ci in picked)
+    parts = tuple(mask_indices(pool[ci]) for ci in picked)
     return CoverCertificate(targets, parts, max(len(parts) - 1, 0) if max_parts is None else max_parts - 1)
 
 
@@ -192,8 +190,7 @@ def cs_complexity_at(
     other form is a scalar multiple of form i, so every part holding it is
     inadmissible).
     """
-    others = [j for j in range(system.r) if j != i]
-    cert = admissible_cover(system, others, (i,), None, node_guard)
+    cert = admissible_cover(system, (i,), None, node_guard)
     return (None, None) if cert is None else (cert.k, cert)
 
 
@@ -217,15 +214,12 @@ def sequential_witness(
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     r = system.r
-    everything = frozenset(range(r))
-    cache: dict[frozenset[int], tuple[tuple[int, ...], ...] | None] = {}
+    cache: dict[int, tuple[tuple[int, ...], ...] | None] = {}  # by the prefix's set of forms, as a bitmask
 
     def prefix_parts(prefix: tuple[int, ...]):
-        key = frozenset(prefix)
+        key = sum(1 << j for j in prefix)
         if key not in cache:
-            cert = admissible_cover(
-                system, sorted(everything - key), prefix, k + 1, node_guard
-            )
+            cert = admissible_cover(system, prefix, k + 1, node_guard)
             cache[key] = cert.parts if cert is not None else None
         return cache[key]
 
@@ -249,7 +243,7 @@ def sequential_witness(
         seq = dfs([], ell)
         if seq is not None:
             covers = tuple(
-                CoverCertificate(tuple(seq[:j]), cache[frozenset(seq[:j])], k)
+                CoverCertificate(tuple(seq[:j]), prefix_parts(tuple(seq[:j])), k)
                 for j in range(1, ell + 1)
             )
             return WitnessCertificate(system.digest(), i, k, tuple(seq), covers)

@@ -2,9 +2,10 @@
 
 Candidate pools are finite and complete: either all affine hyperplanes that
 miss the excluded points, or the affine spans of subsets of the target set.
-Both pools are sets of point indices, and only the parts a cover picks are
-built as `AffineSubspace`s; membership by reduction (`contains`) is left to
-the independent checker `verify_cover`.  A hyperplane is normal·x = c, so its
+Index sets have one format here, from `closure_walk` to `exact_set_cover`:
+an int bitmask whose set bits are point or form indices.  Both pools are
+such masks, and only the parts a cover picks are built as `AffineSubspace`s;
+membership by reduction (`contains`) is left to the checker `verify_cover`.  A hyperplane is normal·x = c, so its
 members come from one dot product per point and canonical normal; past
 HYPERPLANE_NORMAL_GUARD normals, or HYPERPLANE_PRODUCT_GUARD dot products
 over the points and excluded points, the hyperplane pool is refused.
@@ -24,8 +25,8 @@ one group of equal keys is one child span, and a group that holds an
 excluded index is inadmissible.  A child's keys come from its parent's by
 one elimination step each, so no node reduces against a basis.  Zero
 vectors lie in every span, so the walk seeds them into every closure.
-Minimum covers are exact: one branch-and-bound recursion on int bitmasks
-tries cover sizes upward, and the first size that succeeds is extracted with
+Minimum covers are exact: one branch-and-bound recursion over the set bits
+of a universe mask tries cover sizes upward, and the first size that succeeds is extracted with
 the same recursion.  A node guard, counting nodes at every size tried,
 aborts instead of returning an unproven answer.
 """
@@ -146,40 +147,42 @@ def hyperplane_normals(p: int, M: int):
 
 
 def exact_set_cover(
-    n_elements: int,
-    candidates: list[frozenset[int]],
+    universe: int,
+    candidates: list[int],
     max_parts: int | None = None,
     node_guard: int = NODE_GUARD,
 ) -> list[int] | None:
-    """Minimum cover of {0..n_elements-1} by candidate sets; exact and deterministic.
+    """Minimum cover of the set bits of `universe` by candidate bitmasks; exact and deterministic.
 
-    Returns candidate indices of a minimum cover (lexicographically least by
+    Elements are indices, held as the set bits of an int; each candidate is
+    such a bitmask too, and its bits outside `universe` are ignored.  Returns
+    candidate indices of a minimum cover (lexicographically least by
     candidate index among all minimum covers), or None when no cover of size
     <= max_parts exists.  Sizes 1, 2, ... are tried in turn by one recursion,
     which branches on the uncovered element with the fewest holders, the
     least element index among those; the first size that succeeds is the
     minimum, and the same recursion then picks the least candidate for each
-    slot.  The search runs on int bitmasks: the elements are relabelled once
-    so that bit b is the element of rank b by (holder count, index), which
-    makes the branching element the lowest set bit of the uncovered mask.
-    The node budget counts the nodes of every size tried and of the
-    extraction; past it, SearchGuardExceeded is raised.
+    slot.  The elements are relabelled once so that bit b is the element of
+    rank b by (holder count, index), which makes the branching element the
+    lowest set bit of the uncovered mask.  The node budget counts the nodes
+    of every size tried and of the extraction; past it, SearchGuardExceeded
+    is raised.
     """
-    if not n_elements:
+    per_element: dict[int, list[int]] = {e: [] for e in mask_indices(universe)}
+    if not per_element:
         return []
-    per_element: list[list[int]] = [[] for _ in range(n_elements)]
     for ci, cand in enumerate(candidates):
-        for e in cand:
+        for e in mask_indices(cand & universe):
             per_element[e].append(ci)
-    if any(not holders for holders in per_element):
+    if any(not holders for holders in per_element.values()):
         return None
-    order = sorted(range(n_elements), key=lambda e: len(per_element[e]))  # stable: ties by index
-    bit = [0] * n_elements
+    order = sorted(per_element, key=lambda e: len(per_element[e]))  # stable: ties by index
+    masks = [0] * len(candidates)
     for b, e in enumerate(order):
-        bit[e] = 1 << b
-    masks = [sum(bit[e] for e in cand) for cand in candidates]
+        for ci in per_element[e]:
+            masks[ci] |= 1 << b
     holders = [per_element[e] for e in order]
-    universe = (1 << n_elements) - 1
+    full = (1 << len(order)) - 1
     cap = len(candidates) if max_parts is None else min(max_parts, len(candidates))
     nodes = 0
 
@@ -212,12 +215,12 @@ def exact_set_cover(
                 return True
         return False
 
-    best_size = next((size for size in range(1, cap + 1) if completable(universe, size, 0)), None)
+    best_size = next((size for size in range(1, cap + 1) if completable(full, size, 0)), None)
     if best_size is None:
         return None
 
     chosen: list[int] = []
-    remaining = universe
+    remaining = full
     floor = 0
     for slot in range(best_size):
         budget_left = best_size - slot - 1
@@ -238,12 +241,11 @@ def exact_set_cover(
 
 def mask_indices(mask: int) -> tuple[int, ...]:
     """The set bits of `mask`, ascending: an index set stored as an int bitmask."""
-    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
-
-
-def lowest(mask: int) -> int:
-    """Index of the lowest set bit of a nonzero bitmask."""
-    return (mask & -mask).bit_length() - 1
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
 
 
 def closure_walk(vectors, excluded, p: int, node_guard: int = NODE_GUARD):
@@ -326,7 +328,7 @@ def closure_walk(vectors, excluded, p: int, node_guard: int = NODE_GUARD):
     zeros = sum(1 << j for j, v in enumerate(vectors) if not any(v))
     keys = [(j, scaled(v)) for j, v in enumerate(vectors) if not zeros >> j & 1]
     seeds = children(keys) + ([(zeros, None)] if zeros else [])
-    push(zeros, keys, sorted(seeds, key=lambda kid: lowest(kid[0])))
+    push(zeros, keys, sorted(seeds, key=lambda kid: kid[0] & -kid[0]))  # by lowest index
     nodes: list[tuple[int, list[int]]] = []
     while queue:
         cl = queue.pop()
@@ -342,7 +344,7 @@ def closure_walk(vectors, excluded, p: int, node_guard: int = NODE_GUARD):
 
 
 def closure_pool(vectors, excluded, p: int, node_guard: int = NODE_GUARD):
-    """Maximal admissible closures of `vectors`, as index sets sorted by content.
+    """Maximal admissible closures of `vectors`, as int bitmasks sorted by `mask_indices`.
 
     The childless nodes of `closure_walk(vectors, excluded, ...)`: `excluded`
     is a set of indices into `vectors`, and no returned closure holds one.
@@ -352,7 +354,7 @@ def closure_pool(vectors, excluded, p: int, node_guard: int = NODE_GUARD):
     nodes = closure_walk(vectors, excluded, p, node_guard)
     if nodes is None:
         return None
-    return [frozenset(c) for c in sorted(mask_indices(cl) for cl, kids in nodes if not kids)]
+    return sorted((cl for cl, kids in nodes if not kids), key=mask_indices)
 
 
 def point_set_from_json(raw) -> tuple[Prime, int, list[Vector], list[Vector]]:
@@ -428,13 +430,13 @@ def min_cover_excluding(
                 f"{len(normals)} hyperplane normals times {len(pts) + len(exc)} points and excluded points"
                 f" need {products} dot products, above the guard {HYPERPLANE_PRODUCT_GUARD}"
             )
-        planes: list[tuple[frozenset[int], Vector, int]] = []
+        planes: list[tuple[int, Vector, int]] = []
         for normal in normals:
             values = [sum(n * x for n, x in zip(normal, t)) % prime for t in pts]
             missed = set(values).difference(sum(n * x for n, x in zip(normal, a)) % prime for a in exc)
             for const in sorted(missed):
-                planes.append((frozenset(i for i, v in enumerate(values) if v == const), normal, const))
-        planes.sort(key=lambda plane: sorted(plane[0]))
+                planes.append((sum(1 << i for i, v in enumerate(values) if v == const), normal, const))
+        planes.sort(key=lambda plane: mask_indices(plane[0]))
         member_sets = [members for members, _, _ in planes]
 
         def subspace(ci: int) -> AffineSubspace:
@@ -446,10 +448,10 @@ def min_cover_excluding(
         member_sets = closure_pool(lifted, range(len(pts), len(lifted)), prime, node_guard)
 
         def subspace(ci: int) -> AffineSubspace:
-            return AffineSubspace.from_points([pts[i] for i in sorted(member_sets[ci])], prime)
+            return AffineSubspace.from_points([pts[i] for i in mask_indices(member_sets[ci])], prime)
     else:
         raise ValueError(f"unknown mode: {mode}")
-    picked = exact_set_cover(len(pts), member_sets, max_count, node_guard)
+    picked = exact_set_cover((1 << len(pts)) - 1, member_sets, max_count, node_guard)
     if picked is None:
         return None
     cover = AffineCover(prime, M, tuple(subspace(ci) for ci in picked), tuple(pts), tuple(exc))

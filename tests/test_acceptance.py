@@ -51,15 +51,15 @@ def golden_length_two_witnesses():
     pairs.append((REMARK_F7, sequential_witness(REMARK_F7, 5, 1, 2)))
 
     phi31 = phi_system(5, 3, 1)
-    c1 = admissible_cover(phi31, [1, 2], [0], 2)
-    c2 = admissible_cover(phi31, [1], [0, 2], 2)
+    c1 = admissible_cover(phi31, [0], 2)
+    c2 = admissible_cover(phi31, [0, 2], 2)
     pairs.append((phi31, WitnessCertificate(phi31.digest(), 2, 1, (0, 2), (c1, c2))))
 
     phi62 = phi_system(5, 6, 2)
     points = s_km_points(5, 6, 2)
     i11, i00 = points.index((1, 1)), points.index((0, 0))
-    c1 = admissible_cover(phi62, [j for j in range(19) if j != i11], [i11], 5)
-    c2 = admissible_cover(phi62, [j for j in range(19) if j not in (i11, i00)], [i11, i00], 5)
+    c1 = admissible_cover(phi62, [i11], 5)
+    c2 = admissible_cover(phi62, [i11, i00], 5)
     pairs.append((phi62, WitnessCertificate(phi62.digest(), i00, 4, (i11, i00), (c1, c2))))
     return pairs
 

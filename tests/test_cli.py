@@ -1,5 +1,7 @@
 import argparse
+import errno
 import hashlib
+import io
 import json
 import os
 import random
@@ -534,6 +536,24 @@ def write_certificate(capsys, files, tmp_path):
     return str(cert_path)
 
 
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone, as when it is piped into `head`: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_closed_stdout_is_an_output_error(files, capsys, tmp_path, monkeypatch, output):
+    """A report that cannot be written exits 2 as an output error, not an input error, with no traceback."""
+    argv = ["reduce", files["rem1"], "--witness", write_certificate(capsys, files, tmp_path), "--output", output]
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "output error: stdout closed before the report was written: [Errno 32] Broken pipe\n"
+
+
 def test_reduce_rejects_an_unverified_base_certificate(files, capsys, tmp_path):
     cert_path = tmp_path / "bad.json"
     cert_path.write_text(json.dumps(UNVERIFIED_CERTIFICATE))
@@ -790,6 +810,9 @@ def test_reduce_marks_an_unbound_witness(files, capsys, tmp_path):
     (["phikm", "--at", "x"], "--at x: expected comma-separated integers"),
     (["phikm", "--at", ","], "--at ,: expected comma-separated integers"),
     (["gvn-counterexample", "--w", "x"], "--w x: expected comma-separated integers"),
+    (["gvn-counterexample", "--n", "1"], "--n 1: --family counterexample needs --n = --phi-M × --ell-family = 2 × 1 = 2"),
+    (["gvn-counterexample", "--ell-family", "2"],
+     "--n 2: --family counterexample needs --n = --phi-M × --ell-family = 2 × 2 = 4"),
 ], ids=["gvn-n-0", "gvn-n-neg", "gvn-trials-neg", "gvn-trials-0", "reduce-n-0", "reduce-trials-0", "witness-k-neg",
         "gvn-seed-neg", "reduce-seed-neg", "gvn-ell-0", "gvn-ell-neg", "gvn-k-0", "gvn-k-above-cap",
         "gowers-k-above-cap", "cover-max-count-neg",
@@ -798,7 +821,8 @@ def test_reduce_marks_an_unbound_witness(files, capsys, tmp_path):
         "reduce-unchecked-n-0", "reduce-unchecked-trials-0", "reduce-unchecked-seed-neg",
         "analyze-node-guard-neg", "witness-node-guard-neg", "witness-node-guard-0", "cover-node-guard-0",
         "reduce-point-guard-0", "reduce-unchecked-point-guard-neg", "gvn-point-guard-0", "gowers-point-guard-neg",
-        "phikm-at-not-int", "phikm-at-comma", "gvn-w-not-int"])
+        "phikm-at-not-int", "phikm-at-comma", "gvn-w-not-int", "gvn-counterexample-n",
+        "gvn-counterexample-n-ell-family"])
 def test_out_of_range_integer_flags_exit_2_by_name(files, capsys, tmp_path, argv, message):
     command, *flags = argv
     table = tmp_path / "f.json"
@@ -849,7 +873,8 @@ def test_command_input_errors_exit_2_through_main(files, capsys, argv, message):
 def test_ell_family_out_of_range_is_named(tmp_path, capsys, level, message):
     phi342 = tmp_path / "phi342.json"
     phi342.write_text(json.dumps(phi_system(3, 4, 2).to_json()))
-    code = main(["gvn", "--system", str(phi342), "--at-origin", "--k", "2", "--ell", "8", "--n", "2",
+    n = str(2 * max(int(level), 1))  # --phi-M × --ell-family, so that only the level is at fault
+    code = main(["gvn", "--system", str(phi342), "--at-origin", "--k", "2", "--ell", "8", "--n", n,
                  "--family", "counterexample", "--phi-k", "4", "--phi-M", "2", "--ell-family", level])
     assert code == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -63,16 +63,21 @@ def affine_instances(draw):
     return p, M, chosen[:n_points], chosen[n_points:]
 
 
+def as_sets(masks):
+    """Bitmask index sets as frozensets, None kept: the form the oracles compare."""
+    return None if masks is None else [frozenset(mask_indices(m)) for m in masks]
+
+
 def linear_pool(system: LinearSystem, excluded, node_guard: int):
     """The parts pool of `admissible_cover`: the system's forms, excluded ones by index."""
-    return closure_pool(system.forms, excluded, system.p, node_guard)
+    return as_sets(closure_pool(system.forms, excluded, system.p, node_guard))
 
 
 def affine_pool(points, excluded, p: int, M: int, node_guard: int):
     """The affine-span pool of `min_cover_excluding`: points and excluded points lifted
     to (1, s) in one ground set, the excluded ones as its tail."""
     lifted = [(1,) + tuple(t) for t in list(points) + list(excluded)]
-    return closure_pool(lifted, range(len(points), len(lifted)), p, node_guard)
+    return as_sets(closure_pool(lifted, range(len(points), len(lifted)), p, node_guard))
 
 
 @EXAMPLES
@@ -130,7 +135,7 @@ def test_affine_pool_matches_brute_force(instance):
 ], ids=["duplicate", "duplicate-multiple-and-zero", "none", "none-parallel", "zero", "zero-duplicate"])
 def test_excluded_indices(vectors, excluded, pool):
     expected = None if pool is None else [frozenset(c) for c in pool]
-    assert closure_pool(vectors, excluded, 3) == expected
+    assert as_sets(closure_pool(vectors, excluded, 3)) == expected
 
 
 S343_POINTS = [z for z in s_km_points(3, 4, 3) if any(z)]
@@ -223,7 +228,7 @@ def reference_closure_pool(vectors, excluded, p: int, dim: int, node_guard: int 
 def indexed_walk(vectors, excluded, p: int, dim: int, node_guard: int):
     """`closure_pool` on the ground set vectors + excluded, the excluded ones by index."""
     tail = range(len(vectors), len(vectors) + len(excluded))
-    return closure_pool(vectors + excluded, tail, p, node_guard)
+    return as_sets(closure_pool(vectors + excluded, tail, p, node_guard))
 
 
 def walk_outcome(walk, args, guard):
@@ -273,9 +278,8 @@ def lattice_instances(draw):
 
 
 def lattice_pool(system: LinearSystem, excluded):
-    """`admissible_flats` as index sets, the way `closure_pool` returns them."""
-    flats = admissible_flats(system, excluded)
-    return None if flats is None else [frozenset(flat) for flat in flats]
+    """`admissible_flats` as index sets."""
+    return as_sets(admissible_flats(system, excluded))
 
 
 @settings(max_examples=150)
@@ -301,16 +305,16 @@ def test_lattice_pool_matches_closure_pool(instance):
 def test_lattice_pool_edge_cases(vectors, excluded, pool):
     expected = None if pool is None else [frozenset(c) for c in pool]
     system = LinearSystem(3, tuple(vectors))
-    assert lattice_pool(system, excluded) == expected == closure_pool(vectors, excluded, 3)
+    assert lattice_pool(system, excluded) == expected == as_sets(closure_pool(vectors, excluded, 3))
 
 
 REMARK_F7 = {"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 3], [1, 2, 3], [1, 3, 3]]}
 
 
 def cover_outcome(system: LinearSystem, guard: int):
-    """The cover of the forms after form 5 is excluded, or the guard message."""
+    """The cover of every form but form 5, or the guard message."""
     try:
-        return admissible_cover(system, range(5), (5,), 3, guard)
+        return admissible_cover(system, (5,), 3, guard)
     except SearchGuardExceeded as exc:
         return str(exc)
 

@@ -43,30 +43,31 @@ def random_system(rng):
 
 
 def test_admissible_cover_empty_target():
-    cert = admissible_cover(PHI31, [], [0], 0)
-    assert cert is not None and cert.parts == ()
+    # a query that excludes every form leaves nothing to cover: no parts, even with none allowed
+    cert = admissible_cover(PHI31, [0, 1, 2], 0)
+    assert cert is not None and cert.parts == () and cert.targets == (0, 1, 2)
 
 
 def test_admissible_cover_progression_singletons():
-    cert = admissible_cover(PHI31, [1, 2], [0], 2)
+    cert = admissible_cover(PHI31, [0], 2)
     assert cert is not None
     assert cert.parts == ((1,), (2,))
 
 
 def test_admissible_cover_remark_two_parts_infeasible():
     # the five other forms cannot split into two parts both avoiding the last
-    assert admissible_cover(REMARK_F7, [0, 1, 2, 3, 4], [5], 2) is None
-    assert admissible_cover(REMARK_F7, [0, 1, 2, 3, 4], [5], 3) is not None
+    assert admissible_cover(REMARK_F7, [5], 2) is None
+    assert admissible_cover(REMARK_F7, [5], 3) is not None
 
 
 def test_admissible_cover_zero_excluded_is_infeasible():
     sys_ = validate({"p": 5, "forms": [[0, 0], [1, 0], [1, 1]]})
-    assert admissible_cover(sys_, [1, 2], [0], 3) is None
+    assert admissible_cover(sys_, [0], 3) is None
 
 
 def test_admissible_cover_zero_form_coverable():
     sys_ = validate({"p": 5, "forms": [[1, 0], [0, 0], [1, 1]]})
-    cert = admissible_cover(sys_, [1, 2], [0], 2)
+    cert = admissible_cover(sys_, [0], 2)
     assert cert is not None
     assert verify_cover_parts(sys_, cert)
 
@@ -206,8 +207,8 @@ def test_verify_witness_short_witness_phi62():
     sys_ = phi_system(5, 6, 2)
     points = s_km_points(5, 6, 2)
     i11, i00 = points.index((1, 1)), points.index((0, 0))
-    c1 = admissible_cover(sys_, [j for j in range(19) if j != i11], [i11], 5)
-    c2 = admissible_cover(sys_, [j for j in range(19) if j not in (i11, i00)], [i11, i00], 5)
+    c1 = admissible_cover(sys_, [i11], 5)
+    c2 = admissible_cover(sys_, [i11, i00], 5)
     assert c1 is not None and c2 is not None
     cert = WitnessCertificate(sys_.digest(), i00, 4, (i11, i00), (c1, c2))
     assert verify_witness(sys_, cert).passed
@@ -278,7 +279,7 @@ def test_geometric_consistency_on_golden_systems():
             prefix = rng.sample(range(sys_.r), prefix_len)
             rest = [j for j in range(sys_.r) if j not in prefix]
             for max_parts in (1, 2, 3):
-                form_side = admissible_cover(sys_, rest, prefix, max_parts) is not None
+                form_side = admissible_cover(sys_, prefix, max_parts) is not None
                 geo = min_cover_excluding(
                     int(sys_.p),
                     sys_.d - 1,

@@ -11,6 +11,7 @@ from seqcs.covering import (
     SearchGuardExceeded,
     exact_set_cover,
     hyperplane_normals,
+    mask_indices,
     min_cover_excluding,
     verify_cover,
 )
@@ -167,17 +168,22 @@ def test_corollary_slice_reduction_f5_m3():
     )
 
 
+def to_mask(indices) -> int:
+    """An index set as the int bitmask `exact_set_cover` takes."""
+    return sum(1 << i for i in indices)
+
+
 def test_exact_set_cover_lexicographic_tie_break():
     candidates = [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}), frozenset({2})]
-    picked = exact_set_cover(3, candidates)
+    picked = exact_set_cover(to_mask(range(3)), [to_mask(c) for c in candidates])
     # several 2-part covers exist; the earliest candidate indices win
     assert picked == [0, 1]
 
 
 def test_exact_set_cover_node_guard():
-    candidates = [frozenset({i}) for i in range(12)]
+    candidates = [to_mask({i}) for i in range(12)]
     with pytest.raises(SearchGuardExceeded):
-        exact_set_cover(12, candidates, node_guard=5)
+        exact_set_cover(to_mask(range(12)), candidates, node_guard=5)
 
 
 def test_set_cover_guard_trip_is_pinned():
@@ -257,13 +263,24 @@ def search_outcome(search, n_elements, sets, max_parts, guard):
         return str(exc)
 
 
-def assert_searches_agree(n_elements, sets, max_parts=None):
-    """`exact_set_cover` and `reference_set_cover` return the same cover and trip
-    their node guards at the same node: the least guard that lets the bitmask
-    search finish, found by bisection, lets the reference finish with the same
-    cover, and one node fewer trips both."""
+def compacted(universe, masks):
+    """A bitmask query in the frozenset form of `reference_set_cover`: the set
+    bits of `universe` renumbered 0, 1, ... in ascending order, and each
+    candidate's bits outside `universe` dropped."""
+    position = {e: pos for pos, e in enumerate(mask_indices(universe))}
+    return len(position), [frozenset(position[e] for e in mask_indices(m) if e in position) for m in masks]
+
+
+def assert_searches_agree(universe, masks, max_parts=None):
+    """`exact_set_cover` on bitmasks and `reference_set_cover` on the compacted
+    frozensets return the same cover and trip their node guards at the same
+    node: the least guard that lets the bitmask search finish, found by
+    bisection, lets the reference finish with the same cover, and one node
+    fewer trips both."""
+    n_elements, sets = compacted(universe, masks)
+
     def trips(guard):
-        return isinstance(search_outcome(exact_set_cover, n_elements, sets, max_parts, guard), str)
+        return isinstance(search_outcome(exact_set_cover, universe, masks, max_parts, guard), str)
 
     low, high = 0, 1
     while trips(high):
@@ -273,8 +290,8 @@ def assert_searches_agree(n_elements, sets, max_parts=None):
         low, high = (mid + 1, high) if trips(mid) else (low, mid)
     for guard in {max(low - 1, 0), low}:
         expected = search_outcome(reference_set_cover, n_elements, sets, max_parts, guard)
-        assert search_outcome(exact_set_cover, n_elements, sets, max_parts, guard) == expected
-    return search_outcome(exact_set_cover, n_elements, sets, max_parts, low)
+        assert search_outcome(exact_set_cover, universe, masks, max_parts, guard) == expected
+    return search_outcome(exact_set_cover, universe, masks, max_parts, low)
 
 
 @st.composite
@@ -296,7 +313,37 @@ def wide_set_families(draw):
 @example((9, [frozenset({0, 2, 3, 4, 5, 6, 7}), frozenset({1}), frozenset({8}), frozenset({1, 8})], None))
 def test_bitmask_set_cover_matches_the_frozenset_oracle(instance):
     n, sets, max_parts = instance
-    assert_searches_agree(n, sets, max_parts)
+    assert_searches_agree(to_mask(range(n)), [to_mask(s) for s in sets], max_parts)
+
+
+@st.composite
+def sparse_queries(draw):
+    """A universe of up to 9 elements at arbitrary indices below 40, as a prefix
+    query leaves the forms outside the prefix, and up to 12 candidates that may
+    hold indices outside it, with repeated candidates and holder-count ties."""
+    universe = draw(st.frozensets(st.integers(0, 39), max_size=9))
+    outside = draw(st.frozensets(st.integers(0, 39), max_size=5)) - universe
+    ground = sorted(universe | outside)
+    subset = st.frozensets(st.sampled_from(ground), max_size=len(ground)) if ground else st.just(frozenset())
+    body = draw(st.lists(subset, max_size=9))
+    copies = draw(st.lists(st.sampled_from(body), max_size=3)) if body else []
+    order = draw(st.permutations(range(len(body) + len(copies))))
+    family = body + copies
+    return universe, [family[i] for i in order], draw(st.sampled_from([None, 0, 1, 2, 3, 4]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_queries())
+# the form indices {3, 17, 30} to cover, with candidates holding the prefix forms 5 and 31:
+# one part must take both 3 and 30 while 17 has two holders
+@example((frozenset({3, 17, 30}), [frozenset({3, 5}), frozenset({17, 31}), frozenset({3, 30, 31}),
+                                    frozenset({17, 5})], None))
+def test_sparse_universe_set_cover_matches_the_compacted_oracle(instance):
+    """Universe bits at arbitrary indices and candidate bits outside the universe:
+    the same picks as the frozenset oracle on the compacted query, and the same
+    guard node."""
+    universe, sets, max_parts = instance
+    assert_searches_agree(to_mask(universe), [to_mask(s) for s in sets], max_parts)
 
 
 def recorded_pool(p, k, M, mode):
@@ -304,9 +351,9 @@ def recorded_pool(p, k, M, mode):
     phi_{k,M} origin cover, and the size of the cover it returns."""
     seen = []
 
-    def recording_cover(n_elements, candidates, *args):
+    def recording_cover(universe, candidates, *args):
         seen.append(list(candidates))
-        return exact_set_cover(n_elements, candidates, *args)
+        return exact_set_cover(universe, candidates, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covering, "exact_set_cover", recording_cover)
@@ -322,10 +369,10 @@ def recorded_pool(p, k, M, mode):
 ])
 def test_phikm_origin_covers_match_the_frozenset_oracle(p, k, M, mode):
     pool, count = recorded_pool(p, k, M, mode)
-    n_points = len(simplex_minus_origin(p, k, M))
-    picked = assert_searches_agree(n_points, pool)
+    universe = to_mask(range(len(simplex_minus_origin(p, k, M))))
+    picked = assert_searches_agree(universe, pool)
     assert len(picked) == count
-    assert [pool[ci] for ci in picked] == [pool[ci] for ci in reference_set_cover(n_points, pool)]
+    assert [pool[ci] for ci in picked] == [pool[ci] for ci in reference_set_cover(*compacted(universe, pool))]
 
 
 def first_cover(n_elements, sets, max_parts=None):
@@ -354,7 +401,8 @@ def set_families(draw):
 @given(set_families())
 def test_exact_set_cover_matches_brute_force(instance):
     n, sets, max_parts = instance
-    assert exact_set_cover(n, sets, max_parts) == first_cover(n, sets, max_parts)
+    picked = exact_set_cover(to_mask(range(n)), [to_mask(s) for s in sets], max_parts)
+    assert picked == first_cover(n, sets, max_parts)
 
 
 def affine_subspaces_of_plane(p):
@@ -432,16 +480,16 @@ def test_hyperplane_pool_matches_the_contains_oracle(instance):
     expected = oracle_hyperplane_pool(p, M, points, excluded)
     seen = []
 
-    def recording_cover(n_elements, candidates, *args):
+    def recording_cover(universe, candidates, *args):
         seen.append(list(candidates))
-        return exact_set_cover(n_elements, candidates, *args)
+        return exact_set_cover(universe, candidates, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covering, "exact_set_cover", recording_cover)
         result = min_cover_excluding(p, M, points, excluded, mode="hyperplanes-only", max_count=max_count)
-    oracle_sets = [members for members, _ in expected]
-    assert seen == [oracle_sets]
-    picked = exact_set_cover(len(points), oracle_sets, max_count)
+    oracle_masks = [to_mask(members) for members, _ in expected]
+    assert seen == [oracle_masks]
+    picked = exact_set_cover(to_mask(range(len(points))), oracle_masks, max_count)
     if picked is None:
         assert result is None
         return

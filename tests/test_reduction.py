@@ -29,8 +29,8 @@ def remark_witness():
 def phi31_artificial_witness():
     # a real length-2 witness with k=1 (no 1-part cover exists for any prefix,
     # so the smallest usable k here is 1)
-    c1 = admissible_cover(PHI31, [1, 2], [0], 2)
-    c2 = admissible_cover(PHI31, [1], [0, 2], 2)
+    c1 = admissible_cover(PHI31, [0], 2)
+    c2 = admissible_cover(PHI31, [0, 2], 2)
     return WitnessCertificate(PHI31.digest(), 2, 1, (0, 2), (c1, c2))
 
 
@@ -38,8 +38,8 @@ def phi62_short_witness():
     sys_ = phi_system(5, 6, 2)
     points = s_km_points(5, 6, 2)
     i11, i00 = points.index((1, 1)), points.index((0, 0))
-    c1 = admissible_cover(sys_, [j for j in range(19) if j != i11], [i11], 5)
-    c2 = admissible_cover(sys_, [j for j in range(19) if j not in (i11, i00)], [i11, i00], 5)
+    c1 = admissible_cover(sys_, [i11], 5)
+    c2 = admissible_cover(sys_, [i11, i00], 5)
     return sys_, WitnessCertificate(sys_.digest(), i00, 4, (i11, i00), (c1, c2))
 
 
@@ -210,8 +210,8 @@ def test_numeric_step_check_dimension_two_f3():
     # three-term progression over F_3: the derived 4-form system stays small
     # enough for full n=2 enumeration
     sys_ = phi_system(3, 3, 1)
-    c1 = admissible_cover(sys_, [1, 2], [0], 2)
-    c2 = admissible_cover(sys_, [1], [0, 2], 2)
+    c1 = admissible_cover(sys_, [0], 2)
+    c2 = admissible_cover(sys_, [0, 2], 2)
     witness = WitnessCertificate(sys_.digest(), 2, 1, (0, 2), (c1, c2))
     step = cs_step(sys_, witness)
     assert numeric_step_check(step, n=2, trials=30, seed=9, family="phases") <= 1e-9
