@@ -27,11 +27,14 @@ characters, a small report whole, are made before the file is opened), and
 stdout gets the joined pieces (`_json_text`).
 
 The scalar-row rule: a list whose items all have exact type int, bool,
-float or NoneType, and a list of such nonempty rows (the forms, index lists
-and slot pairs that make up most of a reduction chain; a large matrix split
-after whole rows), is one compact `json` encode, which runs in C, indented
-by `str.replace`.  No such item's JSON text holds a `,`, `[` or `]`, so
-every one in the encoded text is a separator.  A dict of scalars is one
+float or NoneType, and a list of such nonempty rows (the index lists, slot
+pairs and transforms of a reduction chain; a large matrix cut into
+`systems.row_blocks`), is compact `json` text, which the C encoder makes,
+indented by `str.replace`.  No such item's JSON text holds a `,`, `[` or
+`]`, so every one in the compact text is a separator.  A system's forms
+(`systems.FormRows`, most of a reduction chain) carry the row blocks the
+system encoded once for its digest, so the writer only indents them, however
+many times the report holds the system.  A dict of scalars is one
 `str.join`; any other container (holding strings, int subclasses or empty
 rows) is written child by child.  Outside rows, plain ints and finite floats
 are written by their `repr`, as `json` writes them; every other scalar
@@ -55,7 +58,6 @@ from .covering import SearchGuardExceeded
 
 TOL_INEQUALITY = 1e-9
 _HEAD_CHARS = 1 << 16
-_PIECE_INTS = 1 << 13  # items per matrix piece; `json`'s encoder holds one string per item until it joins them
 
 
 def _json_scalar(obj) -> str:
@@ -65,18 +67,30 @@ def _json_scalar(obj) -> str:
     return json.dumps(obj)
 
 
-# One compact encode runs in C.  No JSON text of these scalars holds a `,`, `[`
-# or `]`, so every comma and bracket in an encoded row or block is a separator.
-_compact = json.JSONEncoder(separators=(",", ":")).encode
+# No JSON text of these scalars holds a `,`, `[` or `]`, so every comma and
+# bracket in the compact text of a row or block of them is a separator.
 _ROW_SCALARS = frozenset((int, bool, float, type(None)))
 _ROW_TYPES = frozenset((list, tuple))
 
 
-def _rows_text(rows, inner: str) -> str:
-    """The scalar rows of one block, indented at `inner` and joined by `,` + inner."""
+def _rows_text(block: str, inner: str) -> str:
+    """One block of `systems.row_blocks` (nonempty scalar rows), indented at
+    `inner` and joined by `,` + inner."""
     row_inner = inner + " "
-    body = _compact(rows)[2:-2].replace(",", "," + row_inner)
+    body = block[1:-1].replace(",", "," + row_inner)
     return "[" + row_inner + body.replace("]," + row_inner + "[", inner + "]," + inner + "[" + row_inner) + inner + "]"
+
+
+def _blocks_chunks(blocks, pad: str, inner: str):
+    """A list of nonempty scalar rows from its `systems.row_blocks` (at least
+    one), one piece per block, the last closed by the list's bracket."""
+    head, piece = "[", None
+    for block in blocks:
+        if piece is not None:
+            yield piece
+        piece = head + inner + _rows_text(block, inner)
+        head = ","
+    yield piece + pad + "]"
 
 
 def _json_chunks(obj, level: int = 0):
@@ -84,12 +98,13 @@ def _json_chunks(obj, level: int = 0):
     concatenation is that text byte for byte.
 
     A scalar row (a nonempty list of ints, bools, floats and None, by exact
-    type) and a dict of scalars are one piece each, and so is a list of
-    scalar rows (form matrices, cover parts, slot pairs) of up to _PIECE_INTS
-    items; a larger one is split after whole rows, so no piece holds much
-    more than that.  Rows are encoded compactly by `json` in one call per
-    piece, then indented by `str.replace`.  Any other container (strings,
-    int subclasses, empty rows) is written child by child.
+    type) and a dict of scalars are one piece each.  A list of scalar rows
+    (cover parts, slot pairs, transforms) is one piece per block of
+    `systems.row_blocks`, of up to `systems.PIECE_ITEMS` items in whole rows;
+    a system's forms (`systems.FormRows`) are one piece per block the system
+    already encoded.  The compact text is indented by `str.replace`.  Any
+    other container (strings, int subclasses, empty rows) is written child by
+    child.
     """
     pad = "\n" + " " * level
     inner = pad + " "
@@ -97,17 +112,12 @@ def _json_chunks(obj, level: int = 0):
         kinds = set(map(type, obj))
         if not obj:
             yield "[]"
+        elif type(obj) is systems.FormRows and all(obj):
+            yield from _blocks_chunks(obj.blocks, pad, inner)
         elif kinds <= _ROW_SCALARS:
-            yield "[" + inner + _compact(obj)[1:-1].replace(",", "," + inner) + pad + "]"
+            yield "[" + inner + systems.compact_json(obj)[1:-1].replace(",", "," + inner) + pad + "]"
         elif kinds <= _ROW_TYPES and all(obj) and set(map(type, chain.from_iterable(obj))) <= _ROW_SCALARS:
-            # a matrix of scalar rows, split after the row that brings a piece to _PIECE_INTS items
-            head, start, held = "[", 0, 0
-            for end, row in enumerate(obj, 1):
-                held += len(row)
-                if held >= _PIECE_INTS:
-                    yield head + inner + _rows_text(obj[start:end], inner)
-                    head, start, held = ",", end, 0
-            yield (head + inner + _rows_text(obj[start:], inner) if start < len(obj) else "") + pad + "]"
+            yield from _blocks_chunks(systems.row_blocks(obj), pad, inner)
         else:
             head = "["
             for x in obj:

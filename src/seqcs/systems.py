@@ -3,6 +3,11 @@
 A system is an ordered list of r linear forms in d variables, stored as the
 rows of an r×d matrix over F_p.  Forms are ordered because certificates refer
 to form indices; duplicate and zero forms are allowed but flagged.
+
+A system encodes its forms to compact JSON once, in the row blocks of
+`row_blocks`, and keeps the text: its digest hashes the blocks joined, and
+`to_json` hands them to the report writer with the forms (`FormRows`), so a
+system written into a report twice is still encoded once.
 """
 
 from __future__ import annotations
@@ -24,6 +29,41 @@ from .field import (
 )
 
 
+PIECE_ITEMS = 1 << 13  # items per row block; `json`'s encoder holds one string per item until it joins them
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def row_blocks(rows):
+    """The compact JSON of a list of rows, cut into blocks of whole rows.
+
+    Yields each block as it is encoded.  A block holds at most PIECE_ITEMS
+    items, or one longer row, and is the text between the brackets of its
+    rows' compact JSON, so the blocks joined by `,` are the compact text of
+    `rows` without its brackets.
+    """
+    start = held = 0
+    for end, row in enumerate(rows):
+        if held and held + len(row) > PIECE_ITEMS:
+            yield compact_json(rows[start:end])[1:-1]
+            start, held = end, 0
+        held += len(row)
+    if start < len(rows):
+        yield compact_json(rows[start:])[1:-1]
+
+
+class FormRows(list):
+    """A system's forms as a list of lists (`LinearSystem.to_json`) that
+    carries the system's `row_blocks`, so a writer indents the text it
+    already has instead of encoding the rows again.  The blocks describe
+    the rows as built: to write edited forms, edit a plain copy."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, forms, blocks: tuple[str, ...]):
+        super().__init__(map(list, forms))
+        self.blocks = blocks
+
+
 class InputValidationError(ValueError):
     """Raised on malformed input files; carries one message per violation."""
 
@@ -43,9 +83,17 @@ def is_integer(x) -> bool:
 
 @dataclass(frozen=True)
 class LinearSystem:
+    """An ordered system of linear forms over F_p, optionally labelled.
+
+    Instances are frozen, so each memoises what it derives from its forms:
+    the compact JSON of the forms in row blocks (`form_blocks`), the digest
+    and the flats.  The blocks live as long as the system.
+    """
+
     p: Prime
     forms: tuple[Vector, ...]
     labels: tuple[str, ...] | None = None
+    _blocks: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
     # the flats of the forms, memoised by `complexity.flat_lattice`
     _flats: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -58,23 +106,31 @@ class LinearSystem:
     def d(self) -> int:
         return len(self.forms[0])
 
+    def form_blocks(self) -> tuple[str, ...]:
+        """`row_blocks` of the forms, encoded once per instance."""
+        if self._blocks is None:
+            object.__setattr__(self, "_blocks", tuple(row_blocks(self.forms)))
+        return self._blocks
+
     def canonical_json(self) -> str:
-        """Canonical serialization used for hashing; labels excluded."""
-        return json.dumps(
-            {"forms": [list(f) for f in self.forms], "p": int(self.p)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        """Canonical serialization used for hashing; labels excluded.
+
+        The bytes of `json.dumps({"forms": ..., "p": p}, sort_keys=True,
+        separators=(",", ":"))`, joined from `form_blocks`.
+        """
+        return '{"forms":[' + ",".join(self.form_blocks()) + '],"p":' + str(int(self.p)) + "}"
 
     def digest(self) -> str:
-        """SHA-256 of `canonical_json`, computed once per instance (instances are frozen)."""
+        """SHA-256 of `canonical_json`, computed once per instance."""
         if self._digest is None:
             digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
             object.__setattr__(self, "_digest", digest)
         return self._digest
 
     def to_json(self) -> dict:
-        out = {"p": int(self.p), "forms": [list(f) for f in self.forms]}
+        """Plain JSON data: p, the forms as a list of lists carrying
+        `form_blocks` (`FormRows`), and the labels when there are any."""
+        out = {"p": int(self.p), "forms": FormRows(self.forms, self.form_blocks())}
         if self.labels is not None:
             out["labels"] = list(self.labels)
         return out

@@ -693,14 +693,33 @@ JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=400)
-@given(JSON_VALUES, st.integers(0, 3), st.sampled_from([1, 2, 5, cli._PIECE_INTS]))
+@given(JSON_VALUES, st.integers(0, 3), st.sampled_from([1, 2, 5, systems.PIECE_ITEMS]))
 def test_report_writer_matches_json_dumps(obj, level, piece_ints):
     """The pieces, with scalar-row matrices split after any number of items, join to json.dumps's text at `level`."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_PIECE_INTS", piece_ints)
+        mp.setattr(systems, "PIECE_ITEMS", piece_ints)
         assert "".join(_json_chunks(obj, level)) == json.dumps(obj, indent=1).replace("\n", "\n" + " " * level)
     assert _json_text(obj) == json.dumps(obj, indent=1)
     assert _json_text({"nested": [obj, [], {}]}) == json.dumps({"nested": [obj, [], {}]}, indent=1)
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_report_writer_indents_the_blocks_a_system_carries(level):
+    """A system's `to_json` at two nesting levels, twice at one level, with
+    labels, and a system of several blocks: json.dumps's bytes at `level`."""
+    small = phi_system(3, 4, 2)
+    blob = small.to_json()
+    forms = np.random.default_rng(11).integers(0, 7, (100, 90)).tolist()
+    large = systems.validate({"p": 7, "forms": forms, "labels": [str(i) for i in range(100)]})
+    assert len(large.form_blocks()) > 1
+    report = {
+        "config": {"command": "test"},
+        "system": blob,
+        "chain": {"input": blob, "steps": [{"input": small.to_json(), "output": small.to_json()}]},
+        "large": large.to_json(),
+    }
+    expected = json.dumps(report, indent=1).replace("\n", "\n" + " " * level)
+    assert "".join(_json_chunks(report, level)) == expected
 
 
 def test_report_file_is_written_in_pieces(tmp_path):
@@ -718,6 +737,66 @@ def test_report_file_is_written_in_pieces(tmp_path):
         tracemalloc.stop()
     assert peak < len(text) / 2
     assert out.read_text(encoding="utf-8") == text
+
+
+def phi342_files(tmp_path, *at) -> tuple[str, str]:
+    """phi(3,4,2) and its witness (at the origin unless `at` is given), as files."""
+    system, cert = str(tmp_path / "phi342.json"), str(tmp_path / "cert342.json")
+    argv = ["phikm", "--p", "3", "--k", "4", "--M", "2", "--witness", *at]
+    assert main(argv + ["--system-out", system, "--cert-out", cert, "--out", str(tmp_path / "phikm.json")]) == 0
+    return system, cert
+
+
+def test_reduce_encodes_each_system_once(tmp_path, monkeypatch):
+    """Every compact `json` encode of the run is recorded; each distinct
+    system's forms (`chain.input` and each step's output) run through the
+    encoder once, for the digest, and the report reuses that text."""
+    system, cert = phi342_files(tmp_path)
+    encoded = []
+    make_encoder = json.encoder.c_make_encoder
+
+    def recording(*args):
+        encode = make_encoder(*args)
+
+        def recorded(obj, level):
+            encoded.append(obj)
+            return encode(obj, level)
+
+        return recorded
+
+    out = tmp_path / "chain.json"
+    monkeypatch.setattr(json.encoder, "c_make_encoder", recording)
+    assert main(["reduce", system, "--witness", cert, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    rows = []  # every row of a matrix the encoder was given, in order
+    for obj in encoded:
+        if isinstance(obj, dict):
+            obj = obj.get("forms", ())
+        if isinstance(obj, (list, tuple)):
+            rows.extend(tuple(row) for row in obj if isinstance(row, (list, tuple)))
+    chain = json.loads(out.read_text(encoding="utf-8"))["chain"]
+    distinct = [chain["input"]] + [step["output"] for step in chain["steps"]]
+    assert len(distinct) == 8
+    for blob in distinct:
+        forms = [tuple(f) for f in blob["forms"]]
+        starts = [i for i, row in enumerate(rows) if row == forms[0] and rows[i:i + len(forms)] == forms]
+        assert len(starts) == 1, (len(forms), len(starts))
+
+
+@pytest.mark.parametrize("command", ["reduce", "phikm"])
+def test_table_output_renders_the_json_report(tmp_path, command):
+    """`--output table` is the table of the JSON report read back from its file."""
+    if command == "reduce":
+        system, cert = phi342_files(tmp_path, "--at", "2,1")
+        argv = ["reduce", system, "--witness", cert]
+    else:
+        argv = ["phikm", "--p", "3", "--k", "4", "--M", "2", "--witness", "--verify"]
+    table, report, again = (tmp_path / name for name in ("table.txt", "report.json", "again.txt"))
+    assert main(argv + ["--output", "table", "--out", str(table)]) == 0
+    assert main(argv + ["--out", str(report)]) == 0
+    _emit(json.loads(report.read_text(encoding="utf-8")), argparse.Namespace(output="table", out=str(again)))
+    assert table.read_text(encoding="utf-8") == again.read_text(encoding="utf-8")
+    assert "- [1, 0, 0]" in table.read_text(encoding="utf-8")
 
 
 def test_reduce_error_report_carries_the_full_config(files, capsys, tmp_path):

@@ -1,8 +1,12 @@
+import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from seqcs import systems
 from seqcs.analysis import lambda_average, random_one_bounded
 from seqcs.field import identity, mat_mul
 from seqcs.systems import (
@@ -67,6 +71,50 @@ def test_hash_ignores_labels_and_is_stable():
     b = validate({"p": 5, "forms": [[1, 0], [1, 1]], "labels": ["a", "b"]})
     assert a.digest() == b.digest()
     assert len(a.digest()) == 64
+
+
+def dumped_canonical_json(system: LinearSystem) -> str:
+    """The definition every certificate's `system_hash` was computed from."""
+    return json.dumps(
+        {"forms": [list(f) for f in system.forms], "p": int(system.p)}, sort_keys=True, separators=(",", ":")
+    )
+
+
+def assert_digest_is_the_dumped_definition(system: LinearSystem) -> None:
+    text = dumped_canonical_json(system)
+    assert system.canonical_json() == text
+    assert system.digest() == hashlib.sha256(text.encode()).hexdigest()
+    assert ",".join(system.form_blocks()) == text[len('{"forms":['):text.rindex('],"p":')]
+
+
+SYSTEMS = st.sampled_from([2, 3, 7, 2**61 - 1]).flatmap(
+    lambda p: st.integers(1, 6).flatmap(
+        lambda d: st.fixed_dictionaries({
+            "p": st.just(p),
+            "forms": st.lists(st.lists(st.integers(-2 * p, 2 * p), min_size=d, max_size=d), min_size=1, max_size=7),
+        })
+    )
+)
+
+
+@settings(max_examples=300)
+@given(SYSTEMS, st.sampled_from([1, 2, 5, systems.PIECE_ITEMS]), st.booleans())
+def test_digest_is_the_sha256_of_the_dumped_definition(raw, piece_items, labelled):
+    """Blocks of any size join to the bytes of the sorted-key compact `json.dumps`; labels stay out."""
+    if labelled:
+        raw = {**raw, "labels": [f"f{i}" for i in range(len(raw["forms"]))]}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(systems, "PIECE_ITEMS", piece_items)
+        system = validate(raw)
+        assert_digest_is_the_dumped_definition(system)
+        assert system.to_json()["forms"].blocks is system.form_blocks()
+
+
+def test_digest_of_a_system_of_several_blocks():
+    forms = np.random.default_rng(3).integers(0, 2**61 - 1, (100, 90), dtype=np.int64).tolist()
+    system = validate({"p": 2**61 - 1, "forms": forms})
+    assert len(system.form_blocks()) == 2  # 9000 entries, 91 rows of 90 to a block
+    assert_digest_is_the_dumped_definition(system)
 
 
 def test_normalize_already_normalized():
