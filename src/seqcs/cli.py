@@ -437,8 +437,7 @@ def cmd_cover(args) -> tuple[dict, int]:
         points = [z for z in phi_km.s_km_points(p, k, m) if z != origin]
         excluded = [origin]
     elif args.points:
-        with open(args.points, "r", encoding="utf-8") as fh:
-            p, m, points, excluded = covering.point_set_from_json(json.load(fh))
+        p, m, points, excluded = systems.read_json(args.points, covering.point_set_from_json)
     else:
         raise systems.InputValidationError(["give a point-set file or --phikm-origin"])
     result = covering.min_cover_excluding(
@@ -454,8 +453,7 @@ def cmd_cover(args) -> tuple[dict, int]:
 
 def cmd_gowers(args) -> tuple[dict, int]:
     _check_guard("--point-guard", args.point_guard)
-    with open(args.function, "r", encoding="utf-8") as fh:
-        table = analysis.FunctionTable.from_json(json.load(fh))
+    table = systems.read_json(args.function, analysis.FunctionTable.from_json)
     value = analysis.gowers_norm(table, args.k, args.point_guard)
     report = {"norm": value}
     if args.direct:

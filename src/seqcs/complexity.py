@@ -19,14 +19,13 @@ of `seqcs.covering` from lifted points, one walk per query there.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import prod
 
 from .covering import NODE_GUARD, SearchGuardExceeded, closure_walk, exact_set_cover, mask_indices
 from .field import SpanBasis, rank, span_basis, vec
-from .systems import InputValidationError, LinearSystem, is_integer
+from .systems import InputValidationError, LinearSystem, is_integer, read_json
 
 TENSOR_ENTRY_GUARD = 10**7
 
@@ -35,7 +34,6 @@ TENSOR_ENTRY_GUARD = 10**7
 class CoverCertificate:
     targets: tuple[int, ...]
     parts: tuple[tuple[int, ...], ...]
-    k: int
 
     def to_json(self) -> dict:
         return {"targets": list(self.targets), "parts": [list(c) for c in self.parts]}
@@ -101,16 +99,12 @@ class WitnessCertificate:
         if violations:
             raise InputValidationError(violations)
         seq = tuple(raw["sequence"])
-        covers = tuple(
-            CoverCertificate(tuple(c["targets"]), tuple(tuple(x) for x in c["parts"]), raw["k"])
-            for c in covers
-        )
+        covers = tuple(CoverCertificate(tuple(c["targets"]), tuple(tuple(x) for x in c["parts"])) for c in covers)
         return WitnessCertificate(raw["system_hash"], raw["i"], raw["k"], seq, covers)
 
     @staticmethod
     def load(path: str) -> "WitnessCertificate":
-        with open(path, "r", encoding="utf-8") as fh:
-            return WitnessCertificate.from_json(json.load(fh))
+        return read_json(path, WitnessCertificate.from_json)
 
 
 def flat_lattice(system: LinearSystem, node_guard: int = NODE_GUARD):
@@ -163,14 +157,13 @@ def admissible_cover(
 
     Exact: None is returned only when no such cover exists.  Deterministic:
     the lexicographically least minimum-size cover under the sorted part order.
-    With max_parts None the size is unbounded and the certificate's k is the
-    least one the cover proves, max(parts - 1, 0).  The parts are the bitmasks
-    of `admissible_flats`; only the picked ones become index tuples.
+    With max_parts None the size is unbounded.  The parts are the bitmasks of
+    `admissible_flats`; only the picked ones become index tuples.
     """
     targets = tuple(excluded)
     universe = ((1 << system.r) - 1) & ~sum(1 << t for t in set(targets))
     if not universe:
-        return CoverCertificate(targets, (), 0 if max_parts is None else max(max_parts - 1, -1))
+        return CoverCertificate(targets, ())
     pool = admissible_flats(system, targets, node_guard)
     if pool is None:
         return None
@@ -178,20 +171,21 @@ def admissible_cover(
     if picked is None:
         return None
     parts = tuple(mask_indices(pool[ci]) for ci in picked)
-    return CoverCertificate(targets, parts, max(len(parts) - 1, 0) if max_parts is None else max_parts - 1)
+    return CoverCertificate(targets, parts)
 
 
 def cs_complexity_at(
     system: LinearSystem, i: int, node_guard: int = NODE_GUARD
 ) -> tuple[int | None, CoverCertificate | None]:
-    """Least k admitting a (k+1)-part admissible cover of the other forms at i.
+    """Least k admitting a (k+1)-part admissible cover of the other forms at i:
+    max(parts - 1, 0) of a minimum cover, with that cover.
 
     Returns (None, None) when no finite value exists (for instance when some
     other form is a scalar multiple of form i, so every part holding it is
     inadmissible).
     """
     cert = admissible_cover(system, (i,), None, node_guard)
-    return (None, None) if cert is None else (cert.k, cert)
+    return (None, None) if cert is None else (max(len(cert.parts) - 1, 0), cert)
 
 
 def sequential_witness(
@@ -242,10 +236,7 @@ def sequential_witness(
     for ell in range(1, min(max_len, r) + 1):  # distinct forms: no sequence is longer than r
         seq = dfs([], ell)
         if seq is not None:
-            covers = tuple(
-                CoverCertificate(tuple(seq[:j]), prefix_parts(tuple(seq[:j])), k)
-                for j in range(1, ell + 1)
-            )
+            covers = tuple(CoverCertificate(tuple(seq[:j]), prefix_parts(tuple(seq[:j]))) for j in range(1, ell + 1))
             return WitnessCertificate(system.digest(), i, k, tuple(seq), covers)
     return None
 

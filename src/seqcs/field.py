@@ -263,7 +263,8 @@ def completing_transform(v: Sequence[int], p: int) -> Matrix:
     e_piv / v_piv; the remaining columns e_t - (v_t / v_piv)·e_piv (t != piv,
     ascending) span the kernel of v.  Row i is e_i·T.
     """
-    return tuple(apply_completing(e, v, p) for e in identity(len(v)))
+    d = len(v)
+    return tuple(apply_completing((0,) * i + (1,) + (0,) * (d - 1 - i), v, p) for i in range(d))
 
 
 def solve_right(m: Matrix, b: Sequence[int], p: int) -> Vector | None:

@@ -156,7 +156,7 @@ def _witness_at(system: LinearSystem, at=None):
     seq, covers_geo, parts = _witness_rec(int(system.p), M, points)
     ell = seq.index(points.index(target)) + 1
     sequence = tuple(seq[:ell])
-    covers = tuple(CoverCertificate(sequence[:j], tuple(parts[j - 1]), k - 2) for j in range(1, ell + 1))
+    covers = tuple(CoverCertificate(sequence[:j], tuple(parts[j - 1])) for j in range(1, ell + 1))
     cert = WitnessCertificate(system.digest(), sequence[-1], k - 2, sequence, covers)
     return [points[i] for i in sequence], covers_geo[:ell], cert
 

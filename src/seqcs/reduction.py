@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .analysis import DEFAULT_POINT_GUARD, LambdaEvaluator, _trial_blocks, check_trials
 from .complexity import CoverCertificate, WitnessCertificate, verify_witness
-from .field import Matrix, complete_rows, completing_transform, span_basis
+from .field import Matrix, complete_rows, completing_transform, identity, span_basis
 from .systems import LinearSystem
 
 MAX_FORMS = 1 << 12
@@ -33,23 +33,20 @@ class ConsistencyAlarm(AssertionError):
 
 
 @dataclass(frozen=True)
-class FunctionSlot:
-    """Which input function (by relabeled position) a derived slot reads."""
-
-    source: int
-    conjugated: bool
-
-
-@dataclass(frozen=True)
 class ReductionStep:
     input_system: LinearSystem
     witness: WitnessCertificate
     permutation: tuple[int, ...]  # relabeled position -> original index
-    transform: Matrix
     transformed_system: LinearSystem  # relabeled input after the change of variables
     output_system: LinearSystem
-    slots: tuple[FunctionSlot, ...]
+    slots: tuple[tuple[int, bool], ...]  # output slot -> (relabeled input position it reads, conjugated)
     propagated: WitnessCertificate
+
+    @property
+    def transform(self) -> Matrix:
+        """The change of variables: `completing_transform` of the first relabeled
+        form, built where it is read."""
+        return completing_transform(self.input_system.forms[self.permutation[0]], self.input_system.p)
 
     def to_json(self) -> dict:
         return {
@@ -58,7 +55,7 @@ class ReductionStep:
             "permutation": list(self.permutation),
             "transform": [list(row) for row in self.transform],
             "output": self.output_system.to_json(),
-            "slots": [[s.source, s.conjugated] for s in self.slots],
+            "slots": [list(slot) for slot in self.slots],
             "propagated": self.propagated.to_json(),
         }
 
@@ -67,7 +64,6 @@ def _relabel_cover(cover: CoverCertificate, new_index: dict[int, int]) -> CoverC
     return CoverCertificate(
         tuple(new_index[t] for t in cover.targets),
         tuple(tuple(sorted(new_index[x] for x in part)) for part in cover.parts),
-        cover.k,
     )
 
 
@@ -91,16 +87,13 @@ def cs_step(system: LinearSystem, witness: WitnessCertificate) -> ReductionStep:
     permutation = tuple(witness.sequence) + tuple(j for j in range(r) if j not in in_seq)
     new_index = {old: new for new, old in enumerate(permutation)}
     relabeled = [system.forms[old] for old in permutation]
-    transform = completing_transform(relabeled[0], p)
     transformed = tuple(map(tuple, complete_rows(relabeled, relabeled[0], p).tolist()))
     assert transformed[0] == (1,) + (0,) * (d - 1)
     transformed_system = LinearSystem(p, transformed)
     rest, zeros = transformed[1:], (0,) * (d - 1)
     # first block on the shared variables, second with x shared and the rest duplicated
     output = LinearSystem(p, tuple(f + zeros for f in rest) + tuple((f[0],) + zeros + f[1:] for f in rest))
-    slots = tuple(FunctionSlot(pos, False) for pos in range(1, r)) + tuple(
-        FunctionSlot(pos, True) for pos in range(1, r)
-    )
+    slots = tuple((pos, conjugated) for conjugated in (False, True) for pos in range(1, r))
 
     first_cover = _relabel_cover(witness.covers[0], new_index)
     covers = []
@@ -114,13 +107,11 @@ def cs_step(system: LinearSystem, witness: WitnessCertificate) -> ReductionStep:
             merged.append(
                 tuple(sorted([pos - 1 for pos in c_part] + [pos + r - 2 for pos in e_part]))
             )
-        covers.append(CoverCertificate(tuple(range(jstar)), tuple(merged), witness.k))
+        covers.append(CoverCertificate(tuple(range(jstar)), tuple(merged)))
     propagated = WitnessCertificate(
         output.digest(), ell - 2, witness.k, tuple(range(ell - 1)), tuple(covers)
     )
-    return ReductionStep(
-        system, witness, permutation, transform, transformed_system, output, slots, propagated
-    )
+    return ReductionStep(system, witness, permutation, transformed_system, output, slots, propagated)
 
 
 def merged_cover_identities(step: ReductionStep) -> dict:
@@ -134,10 +125,8 @@ def merged_cover_identities(step: ReductionStep) -> dict:
     p, dim = out.p, out.d
     d = step.input_system.d
     r = step.input_system.r
-    u1 = [tuple(1 if j == t else 0 for j in range(dim)) for t in range(d)]
-    u2 = [tuple(1 if j == 0 else 0 for j in range(dim))] + [
-        tuple(1 if j == t else 0 for j in range(dim)) for t in range(d, dim)
-    ]
+    unit = identity(dim)
+    u1, u2 = unit[:d], unit[:1] + unit[d:]
     failures = []
     checked = 0
 
@@ -210,10 +199,8 @@ def build_chain(
     try:
         while current_witness.length > 1 and 2 * current_system.r - 2 <= max_forms:
             step = cs_step(current_system, current_witness)
-            slot_map = tuple(
-                (slot_map[step.permutation[s.source]][0], slot_map[step.permutation[s.source]][1] ^ s.conjugated)
-                for s in step.slots
-            )
+            read = [slot_map[old] for old in step.permutation]  # by relabeled position
+            slot_map = tuple((read[pos][0], read[pos][1] ^ conjugated) for pos, conjugated in step.slots)
             steps.append(step)
             current_system, current_witness = step.output_system, step.propagated
         report = verify_witness(current_system, current_witness)
@@ -248,11 +235,11 @@ def numeric_step_check(
     check_trials(trials, seed)
     in_eval = LambdaEvaluator(step.transformed_system, n, point_guard)
     out_eval = LambdaEvaluator(step.output_system, n, point_guard)
-    out_conj = [s.conjugated for s in step.slots]
+    out_conj = [conjugated for _, conjugated in step.slots]
     worst = -float("inf")
     for block in _trial_blocks(step.input_system, n, family, seed, 1 if family == "ones" else trials):
         for tup in block:
             lam_in = in_eval.average(tup)
-            lam_out = out_eval.average([tup[s.source] for s in step.slots], out_conj)
+            lam_out = out_eval.average([tup[pos] for pos, _ in step.slots], out_conj)
             worst = max(worst, abs(lam_in) ** 2 - lam_out.real)
     return worst

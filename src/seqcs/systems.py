@@ -207,9 +207,27 @@ def system_flags(system: LinearSystem) -> dict:
     return {"zero_forms": zero, "duplicate_forms": dups}
 
 
-def load_system(path: str) -> LinearSystem:
+def read_json(path: str, parse):
+    """`parse` of the JSON value in the file at `path`.
+
+    A file that `json` cannot decode is an input error: a `JSONDecodeError`
+    as `json` raised it, and text that is not UTF-8, nested past the
+    recursion limit or holding an integer past Python's digit limit as an
+    InputValidationError.  Only the decoding is guarded, so a fault in
+    `parse` still surfaces.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return validate(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except (ValueError, RecursionError) as exc:
+            raise InputValidationError([f"{path}: not decodable as JSON: {exc}"]) from None
+    return parse(raw)
+
+
+def load_system(path: str) -> LinearSystem:
+    return read_json(path, validate)
 
 
 def normalize_translation_invariant(

@@ -608,6 +608,10 @@ GOLDEN_REDUCE = {
     "phi342-at-2-1": "57bf99656003e9f7dea856c3ea2c28e3b2f236d0ecd52b87cee0ff22377590b7",
     "rem1-at-5": "42d7f8e2d78a4e158d81d3c35f18432d394f1c01f7ce48a6e049b505c7d12b48",
 }
+# SHA-256 of the `reduce --numeric-check --n 2 --trials 5` report body on
+# phi(3,4,2) cut at (2,1): step 0's violation and step 1's point-guard skip,
+# generated while slots were still `FunctionSlot` objects.
+GOLDEN_REDUCE_NUMERIC = "c4a70db0a8c2ecf9f9032a8151249a4618b9d4378a7479382149e68e2f5a7c93"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REDUCE))
@@ -622,6 +626,17 @@ def test_reduce_report_bytes_are_pinned(files, capsys, tmp_path, name):
     assert code == 0
     body = {key: val for key, val in report.items() if key != "config"}
     assert hashlib.sha256(json.dumps(body, indent=1).encode()).hexdigest() == GOLDEN_REDUCE[name]
+
+
+def test_numeric_check_report_bytes_are_pinned(capsys, tmp_path):
+    system, cert_path = str(tmp_path / "phi342.json"), str(tmp_path / "cert342.json")
+    argv = ["phikm", "--p", "3", "--k", "4", "--M", "2", "--witness", "--at", "2,1"]
+    main(argv + ["--system-out", system, "--cert-out", cert_path, "--out", str(tmp_path / "phikm.json")])
+    code, report = run(capsys, "reduce", system, "--witness", cert_path, "--numeric-check", "--n", "2", "--trials", "5")
+    assert code == 0
+    assert [c["step"] for c in report["numeric_checks"]] == [0]
+    body = {key: val for key, val in report.items() if key != "config"}
+    assert hashlib.sha256(json.dumps(body, indent=1).encode()).hexdigest() == GOLDEN_REDUCE_NUMERIC
 
 
 # SHA-256 of the raw stdout of `reduce` on phi(3,4,2) cut at (2,1), run from the
@@ -820,7 +835,7 @@ def test_reduce_consistency_alarm_exits_1_without_traceback(files, capsys, tmp_p
     def dropping(cover, new_index):
         out = relabel(cover, new_index)
         parts = (out.parts[0][1:],) + out.parts[1:] if out.parts else out.parts
-        return CoverCertificate(out.targets, parts, out.k)
+        return CoverCertificate(out.targets, parts)
 
     monkeypatch.setattr(reduction, "_relabel_cover", dropping)
     code = main(["reduce", files["rem1"], "--witness", cert_path])
@@ -1011,6 +1026,8 @@ def contract_inputs(tmp_path):
 def test_contract_fuzzer(tmp_path, capsys):
     """Every subcommand, with each integer option at -1, 0 and 1 and each input
     file empty, truncated, `[]` or `3`, exits 0, 1 or 2 without a traceback.
+    An input file that `json` cannot decode, nested 100 000 deep, not UTF-8 or
+    holding an integer of 5000 digits, exits 2 with `input error: `.
 
     The valid inputs are tiny and made from phi(3,3,1).  The bounded runs
     below must exit with the code given within one second, where only a size
@@ -1023,7 +1040,7 @@ def test_contract_fuzzer(tmp_path, capsys):
     a modulus, at the prime 2^61 - 1 and at the prime 2^89 - 1, which is past
     the bound of the primality test."""
     inputs, bases = contract_inputs(tmp_path)
-    broken = {}
+    broken, undecodable = {}, set()
     for name, path in inputs.items():
         text = Path(path).read_text()
         broken[path] = []
@@ -1031,6 +1048,12 @@ def test_contract_fuzzer(tmp_path, capsys):
             bad = tmp_path / f"{name}-{label}.json"
             bad.write_text(content)
             broken[path].append(str(bad))
+        for label, content in [("nested", b"[" * 10**5 + b"]" * 10**5), ("utf16", text.encode("utf-16")),
+                               ("digits", b'{"p": ' + b"7" * 5000 + b"}")]:
+            bad = tmp_path / f"{name}-{label}.json"
+            bad.write_bytes(content)
+            broken[path].append(str(bad))
+            undecodable.add(str(bad))
     parsers = subcommand_parsers()
     cases = []
     for base in bases:
@@ -1084,6 +1107,8 @@ def test_contract_fuzzer(tmp_path, capsys):
         elapsed = time.perf_counter() - started
         err = capsys.readouterr().err
         if code not in (0, 1, 2) or "Traceback" in err or (expected is not None and (code != expected or elapsed >= limit)):
+            failures.append((argv, code, err[-200:]))
+        elif undecodable.intersection(argv) and (code != 2 or not err.startswith("input error: ")):
             failures.append((argv, code, err[-200:]))
     assert not failures
 

@@ -181,7 +181,7 @@ def test_verify_witness_round_trip_and_mutations():
     dropped = new_parts[victim_part][0]
     others = {x for idx, part in enumerate(new_parts) if idx != victim_part for x in part}
     new_parts[victim_part] = new_parts[victim_part][1:]
-    covers[-1] = CoverCertificate(last.targets, tuple(new_parts), last.k)
+    covers[-1] = CoverCertificate(last.targets, tuple(new_parts))
     mutated = WitnessCertificate(cert.system_hash, cert.i, cert.k, cert.sequence, tuple(covers))
     report = verify_witness(REMARK_F7, mutated)
     if dropped in others:
@@ -196,7 +196,7 @@ def test_verify_witness_round_trip_and_mutations():
 
     # insert a target into a part: span now contains it
     first = cert.covers[0]
-    poisoned = CoverCertificate(first.targets, ((first.targets[0],) + first.parts[0],) + first.parts[1:], first.k)
+    poisoned = CoverCertificate(first.targets, ((first.targets[0],) + first.parts[0],) + first.parts[1:])
     poisoned_cert = WitnessCertificate(cert.system_hash, cert.i, cert.k, cert.sequence, (poisoned,) + cert.covers[1:])
     report = verify_witness(REMARK_F7, poisoned_cert)
     assert any(f["kind"] == "span-contains-target" for f in report.failures)
@@ -332,7 +332,7 @@ def single_entry_mutations(cert, r):
 
     def with_part(c, t, part):
         cover = cert.covers[c]
-        return with_cover(c, CoverCertificate(cover.targets, cover.parts[:t] + (part,) + cover.parts[t + 1:], cover.k))
+        return with_cover(c, CoverCertificate(cover.targets, cover.parts[:t] + (part,) + cover.parts[t + 1:]))
 
     for c, cover in enumerate(cert.covers):
         for t, part in enumerate(cover.parts):
@@ -347,7 +347,7 @@ def single_entry_mutations(cert, r):
             for y in range(r):
                 if y != x:
                     targets = cover.targets[:e] + (y,) + cover.targets[e + 1:]
-                    yield "target-changed", with_cover(c, CoverCertificate(targets, cover.parts, cover.k))
+                    yield "target-changed", with_cover(c, CoverCertificate(targets, cover.parts))
 
 
 CERTIFIED = {

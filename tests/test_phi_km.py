@@ -82,7 +82,7 @@ def scanned_witness(p, k, M, at=None):
         parts = tuple(
             tuple(sorted(index_of[z] for z in remaining if sub.contains(z))) for sub in covers_geo[j - 1]
         )
-        covers.append(CoverCertificate(sequence[:j], parts, k - 2))
+        covers.append(CoverCertificate(sequence[:j], parts))
     cert = WitnessCertificate(phi_system(p, k, M).digest(), sequence[-1], k - 2, sequence, tuple(covers))
     return seq_pts[:ell], covers_geo[:ell], cert
 

@@ -66,8 +66,8 @@ def test_step_rejects_zero_first_form():
     from seqcs.complexity import CoverCertificate
 
     sys_ = validate({"p": 5, "forms": [[0, 0], [1, 0], [1, 1]]})
-    c1 = CoverCertificate((0,), ((1, 2),), 1)
-    c2 = CoverCertificate((0, 1), ((2,),), 1)
+    c1 = CoverCertificate((0,), ((1, 2),))
+    c2 = CoverCertificate((0, 1), ((2,),))
     fake = WitnessCertificate(sys_.digest(), 1, 1, (0, 1), (c1, c2))
     with pytest.raises(InvalidWitness) as err:
         cs_step(sys_, fake)
@@ -90,9 +90,9 @@ def test_slot_table_structure():
     r = REMARK_F7.r
     for j, slot in enumerate(step.slots):
         if j <= r - 2:
-            assert (slot.source, slot.conjugated) == (j + 1, False)
+            assert slot == (j + 1, False)
         else:
-            assert (slot.source, slot.conjugated) == (j - r + 2, True)
+            assert slot == (j - r + 2, True)
 
 
 def test_merged_cover_identities_golden():
@@ -233,7 +233,7 @@ def test_step_serialization_round_trip():
     assert blob["permutation"] == list(step.permutation)
     chain = build_chain(REMARK_F7, remark_witness())
     cj = chain.to_json()
-    assert cj["steps"][0]["slots"] == [[s.source, s.conjugated] for s in step.slots]
+    assert cj["steps"][0]["slots"] == [[source, conjugated] for source, conjugated in step.slots]
 
 
 def test_chain_verifies_each_certificate_once(monkeypatch):
@@ -272,7 +272,7 @@ def test_corrupted_propagated_witness_raises_consistency_alarm(monkeypatch, case
             return out
         widest = max(range(len(out.parts)), key=lambda t: len(out.parts[t]))
         parts = tuple(part[1:] if t == widest else part for t, part in enumerate(out.parts))
-        return CoverCertificate(out.targets, parts, out.k)
+        return CoverCertificate(out.targets, parts)
 
     monkeypatch.setattr(reduction, "_relabel_cover", dropping)
     if case == "mid-chain":
@@ -289,13 +289,13 @@ def test_numeric_step_check_is_the_worst_single_trial(monkeypatch):
     """The batched check returns bit for bit the worst of its trials taken one tuple at a
     time, in one block or in blocks of two trials."""
     step = cs_step(REMARK_F7, remark_witness())
-    conj = [s.conjugated for s in step.slots]
+    conj = [conjugated for _, conjugated in step.slots]
     singles = []
     for t in range(9):
         rows = analysis._draw_trials(step.input_system, 1, "random", 2, t, t + 1)[0]
         tables = [FunctionTable(7, 1, row) for row in rows]
         lam_in = lambda_average(step.transformed_system, tables)
-        lam_out = lambda_average(step.output_system, [tables[s.source] for s in step.slots], conj)
+        lam_out = lambda_average(step.output_system, [tables[source] for source, _ in step.slots], conj)
         singles.append(abs(lam_in) ** 2 - lam_out.real)
     assert numeric_step_check(step, n=1, trials=9, seed=2, family="random") == max(singles)
     monkeypatch.setattr(analysis, "_BATCH_BUDGET", 2 * step.input_system.r * 7)
