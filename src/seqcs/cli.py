@@ -20,26 +20,16 @@ call to the next.  The flag defaults (the `covering`, `analysis` and
 `reduction` guards) and the `cmd_*` each subcommand calls are read at that
 first build.
 
-JSON reports are written by `_json_chunks`, which yields the bytes of
-`json.dumps(report, indent=1)` in pieces: a report written with `--out` is
-streamed to the file piece by piece and is never held whole (its first 64 K
-characters, a small report whole, are made before the file is opened), and
-stdout gets the joined pieces (`_json_text`).
-
-The scalar-row rule: a list whose items all have exact type int, bool,
-float or NoneType, and a list of such nonempty rows (the index lists, slot
-pairs and transforms of a reduction chain; a large matrix cut into
-`systems.row_blocks`), is compact `json` text, which the C encoder makes,
-indented by `str.replace`.  No such item's JSON text holds a `,`, `[` or
-`]`, so every one in the compact text is a separator.  A system's forms
-(`systems.FormRows`, most of a reduction chain) carry the row blocks the
-system encoded once for its digest, so the writer only indents them, however
-many times the report holds the system.  A dict of scalars is one
-`str.join`; any other container (holding strings, int subclasses or empty
-rows) is written child by child.  Outside rows, plain ints and finite floats
-are written by their `repr`, as `json` writes them; every other scalar
-(strings, bools, None, NaN and ±Infinity, subclasses) is encoded by
-`json.dumps` itself.
+JSON reports are written by `_json_chunks` in one layout: the text of
+`json.dumps(report, indent=1)`, except that each scalar row, a nonempty list
+whose items all have exact type int, bool, float or NoneType (an index list,
+a slot pair, a form, a row of a transform), is its compact `json` text on one
+line.  So a matrix is one row per line.  A system's forms
+(`systems.FormRows`) are written from the row blocks the system encoded once
+for its digest.  A report written with `--out` is streamed to the file piece
+by piece and is never held whole (its first 64 K characters, a small report
+whole, are made before the file is opened), and stdout gets the joined pieces
+(`_json_text`).
 """
 
 from __future__ import annotations
@@ -51,7 +41,6 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 
 from . import analysis, complexity, covering, field, phi_km, reduction, systems
 from .covering import SearchGuardExceeded
@@ -67,57 +56,30 @@ def _json_scalar(obj) -> str:
     return json.dumps(obj)
 
 
-# No JSON text of these scalars holds a `,`, `[` or `]`, so every comma and
-# bracket in the compact text of a row or block of them is a separator.
 _ROW_SCALARS = frozenset((int, bool, float, type(None)))
-_ROW_TYPES = frozenset((list, tuple))
-
-
-def _rows_text(block: str, inner: str) -> str:
-    """One block of `systems.row_blocks` (nonempty scalar rows), indented at
-    `inner` and joined by `,` + inner."""
-    row_inner = inner + " "
-    body = block[1:-1].replace(",", "," + row_inner)
-    return "[" + row_inner + body.replace("]," + row_inner + "[", inner + "]," + inner + "[" + row_inner) + inner + "]"
-
-
-def _blocks_chunks(blocks, pad: str, inner: str):
-    """A list of nonempty scalar rows from its `systems.row_blocks` (at least
-    one), one piece per block, the last closed by the list's bracket."""
-    head, piece = "[", None
-    for block in blocks:
-        if piece is not None:
-            yield piece
-        piece = head + inner + _rows_text(block, inner)
-        head = ","
-    yield piece + pad + "]"
 
 
 def _json_chunks(obj, level: int = 0):
-    """`json.dumps(obj, indent=1)` at nesting depth `level`, in pieces whose
-    concatenation is that text byte for byte.
+    """The report layout of `obj` at nesting depth `level`, in pieces.
 
-    A scalar row (a nonempty list of ints, bools, floats and None, by exact
-    type) and a dict of scalars are one piece each.  A list of scalar rows
-    (cover parts, slot pairs, transforms) is one piece per block of
-    `systems.row_blocks`, of up to `systems.PIECE_ITEMS` items in whole rows;
-    a system's forms (`systems.FormRows`) are one piece per block the system
-    already encoded.  The compact text is indented by `str.replace`.  Any
-    other container (strings, int subclasses, empty rows) is written child by
-    child.
+    A scalar row is one piece; a system's forms (`systems.FormRows`) are one
+    piece per row block the system already encoded, one row per line.  Any
+    other container is written child by child, dict keys coerced as `json`
+    coerces them.
     """
     pad = "\n" + " " * level
     inner = pad + " "
     if isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))
         if not obj:
             yield "[]"
-        elif type(obj) is systems.FormRows and all(obj):
-            yield from _blocks_chunks(obj.blocks, pad, inner)
-        elif kinds <= _ROW_SCALARS:
-            yield "[" + inner + systems.compact_json(obj)[1:-1].replace(",", "," + inner) + pad + "]"
-        elif kinds <= _ROW_TYPES and all(obj) and set(map(type, chain.from_iterable(obj))) <= _ROW_SCALARS:
-            yield from _blocks_chunks(systems.row_blocks(obj), pad, inner)
+        elif type(obj) is systems.FormRows:
+            head = "["
+            for block in obj.blocks:  # each `],[` in a block of int rows is a row boundary
+                yield head + inner + block.replace("],[", "]," + inner + "[")
+                head = ","
+            yield pad + "]"
+        elif set(map(type, obj)) <= _ROW_SCALARS:
+            yield systems.compact_json(obj)
         else:
             head = "["
             for x in obj:
@@ -128,14 +90,11 @@ def _json_chunks(obj, level: int = 0):
     elif isinstance(obj, dict):
         if not obj:
             yield "{}"
-        elif set(map(type, obj)) != {str}:  # json's own key coercion; its output has no raw newlines
-            yield json.dumps(obj, indent=1).replace("\n", pad)
-        elif not any(isinstance(v, (list, tuple, dict)) for v in obj.values()):
-            yield "{" + inner + ("," + inner).join(json.dumps(k) + ": " + _json_scalar(v) for k, v in obj.items()) + pad + "}"
         else:
             head = "{"
             for k, v in obj.items():
-                yield head + inner + json.dumps(k) + ": "
+                # a key that is not a string: its text in `json`'s own coercion, out of `{"<key>": 0}`
+                yield head + inner + (json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": "
                 yield from _json_chunks(v, level + 1)
                 head = ","
             yield pad + "}"
@@ -144,7 +103,7 @@ def _json_chunks(obj, level: int = 0):
 
 
 def _json_text(obj, level: int = 0) -> str:
-    """`json.dumps(obj, indent=1)`, byte for byte, at nesting depth `level`."""
+    """The report layout of `obj` at nesting depth `level`, as one string."""
     return "".join(_json_chunks(obj, level))
 
 

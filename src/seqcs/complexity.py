@@ -20,8 +20,7 @@ of `seqcs.covering` from lifted points, one walk per query there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
-from math import prod
+from math import comb
 
 from .covering import NODE_GUARD, SearchGuardExceeded, closure_walk, exact_set_cover, mask_indices
 from .field import SpanBasis, rank, span_basis, vec
@@ -322,22 +321,31 @@ def tensor_criterion(system: LinearSystem, k_max: int) -> TensorCriterionResult:
     The columns of f^{⊗m} whose multi-indices are the same multiset are
     equal, so the rank is taken over one column per multiset: the distinct
     monomials f^α, unweighted (multinomial weights vanish mod p once m >= p).
-    The entry guard still counts all r·d^m entries of the tensor powers.
+    Each level's monomials are the previous level's times one variable at
+    least their largest, reduced mod p at every product.  The entry guard
+    counts the monomial entries made, r·C(d+k, k+1) at level k, summed over
+    the levels.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    forms = system.forms
+    forms, p, d = system.forms, system.p, system.d
     if len(set(forms)) != len(forms):
         return TensorCriterionResult(None, "never independent (duplicate forms)", ())
     if any(not any(f) for f in forms):
         return TensorCriterionResult(None, "never independent (zero form)", ())
     ranks: list[tuple[int, int]] = []
+    rows = [tuple(x % p for x in f) for f in forms]  # the degree-1 monomials
+    tops = range(d)  # the largest variable of each monomial, in combinations_with_replacement order
+    made = 0
     for k in range(k_max + 1):
-        if system.r * system.d ** (k + 1) > TENSOR_ENTRY_GUARD:
+        made += system.r * comb(d + k, k + 1)
+        if made > TENSOR_ENTRY_GUARD:
             raise SearchGuardExceeded(f"tensor powers at k={k} exceed the entry budget")
-        monomials = list(combinations_with_replacement(range(system.d), k + 1))
-        rows = [tuple(prod(f[j] for j in alpha) % system.p for alpha in monomials) for f in forms]
-        rk = rank(rows, system.p)
+        if k:
+            rows = [tuple(v * f[j] % p for v, top in zip(row, tops) for j in range(top, d))
+                    for f, row in zip(forms, rows)]
+            tops = [j for top in tops for j in range(top, d)]
+        rk = rank(rows, p)
         ranks.append((k, rk))
         if rk == system.r:
             return TensorCriterionResult(k, "independent", tuple(ranks))

@@ -6,8 +6,9 @@ to form indices; duplicate and zero forms are allowed but flagged.
 
 A system encodes its forms to compact JSON once, in the row blocks of
 `row_blocks`, and keeps the text: its digest hashes the blocks joined, and
-`to_json` hands them to the report writer with the forms (`FormRows`), so a
-system written into a report twice is still encoded once.
+`to_json` hands them to the report writer with the forms (`FormRows`), which
+writes them one row per line by splitting that text, so a system written into
+a report twice is still encoded once.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ def row_blocks(rows):
 
 class FormRows(list):
     """A system's forms as a list of lists (`LinearSystem.to_json`) that
-    carries the system's `row_blocks`, so a writer indents the text it
-    already has instead of encoding the rows again.  The blocks describe
-    the rows as built: to write edited forms, edit a plain copy."""
+    carries the system's `row_blocks`, so a writer splits the text it
+    already has into rows instead of encoding the rows again.  The blocks
+    describe the rows as built: to write edited forms, edit a plain copy."""
 
     __slots__ = ("blocks",)
 

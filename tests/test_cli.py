@@ -23,6 +23,8 @@ from seqcs.cli import _emit, _json_chunks, _json_text, build_parser, main
 from seqcs.covering import AffineCover, AffineSubspace
 from seqcs.phi_km import phi_system, phi_witness_certificate
 
+from report_layout import assert_same_text, reference_text
+
 PHI31 = {"p": 5, "forms": [[1, 0], [1, 1], [1, 2]]}
 REMARK_F7 = {"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 3], [1, 2, 3], [1, 3, 3]]}
 REMARK_F23 = {"p": 23, "forms": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 10, 1], [1, 1, 2], [1, 2, 2]]}
@@ -254,13 +256,15 @@ def test_cover_unverified_exits_1(capsys, monkeypatch):
     assert report["verified"] is False
 
 
-# SHA-256 of reports produced before the pool walks were merged; any change in
-# pool order or canonical subspace form shows up here.
+# SHA-256 of the raw stdout of `cover --phikm-origin`: the value of each report
+# made before the pool walks were merged, in the layout of
+# `tests/report_layout.py`.  Any change in pool order, canonical subspace form
+# or report layout shows up here.
 GOLDEN_COVERS = {
-    (3, 4, 3, False): "41fed964bca27e8185715252eff25452af8aff857c014920bfbd701eebe8c915",
-    (3, 4, 3, True): "80fc72e6d1a462c0e8aa876794d24a36e8a5ab80fcafaba33e55e38f08088493",
-    (5, 4, 3, False): "9c705d73de8f81fb328abedd81ef3c0cb34fd3b951ac7f1804af6efdcc40dcc2",
-    (5, 4, 3, True): "2ed69fb71f4046fcdf1e82eab62c9d7bcd1a3fe01753f8cde3043c787386a3a4",
+    (3, 4, 3, False): "6c7afc8c753f35e1077bc7f78f3c757575ab9336308e2ecfbda6eda183d8ee4a",
+    (3, 4, 3, True): "645fe70c9b036aa395ba185b482001dfdd73b2eba4e2907b044d0ae703dcd2ca",
+    (5, 4, 3, False): "04016363fbf04cc34f2fbaea2d515c6419b0069dd2a8ed03bb14ecc031edc39d",
+    (5, 4, 3, True): "4adfc4fe18abd9fc2f3e7144b53cc8d819bb5703365ea9638f5376be9a0ba67e",
 }
 GOLDEN_ANALYZE = {
     "phi562": "b064f98892993ac8abd55d4867f3d764d8cc8d23e004d530fc843ab79572d8c6",
@@ -640,10 +644,11 @@ def test_numeric_check_report_bytes_are_pinned(capsys, tmp_path):
 
 
 # SHA-256 of the raw stdout of `reduce` on phi(3,4,2) cut at (2,1), run from the
-# input directory so the config holds relative paths.  Generated while reports
-# were still written by `json.dumps(report, indent=1)`, so it pins the writer
-# byte for byte, which the parsed-body digests above cannot see.
-GOLDEN_REDUCE_STDOUT = "165a249864baa4720e9ded749189be933a09e594c3c70c69937a5146d72c6333"
+# input directory so the config holds relative paths: the value of the report
+# the `json.dumps(report, indent=1)` writer made, in the layout of
+# `tests/report_layout.py`.  It pins the writer byte for byte, which the
+# parsed-body digests above cannot see.
+GOLDEN_REDUCE_STDOUT = "d563e7f6abac337ead85d5197938b4b7db4d6d819b361d4491a92c588e3c491e"
 
 
 def test_reduce_stdout_bytes_are_pinned(capsys, tmp_path, monkeypatch):
@@ -707,21 +712,30 @@ JSON_VALUES = st.recursive(
 )
 
 
+FORM_MATRICES = st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-9, 9), min_size=d, max_size=d), min_size=1, max_size=12)
+)
+
+
 @settings(max_examples=400)
-@given(JSON_VALUES, st.integers(0, 3), st.sampled_from([1, 2, 5, systems.PIECE_ITEMS]))
-def test_report_writer_matches_json_dumps(obj, level, piece_ints):
-    """The pieces, with scalar-row matrices split after any number of items, join to json.dumps's text at `level`."""
+@given(JSON_VALUES, st.integers(0, 3), st.sampled_from([1, 2, 5, systems.PIECE_ITEMS]), FORM_MATRICES)
+def test_report_writer_matches_json_dumps(obj, level, piece_items, forms):
+    """The pieces join to the reference layout (`json.dumps(indent=1)` with
+    compact scalar rows) at `level`, also around a system's forms encoded in
+    blocks split after any number of items."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(systems, "PIECE_ITEMS", piece_ints)
-        assert "".join(_json_chunks(obj, level)) == json.dumps(obj, indent=1).replace("\n", "\n" + " " * level)
-    assert _json_text(obj) == json.dumps(obj, indent=1)
-    assert _json_text({"nested": [obj, [], {}]}) == json.dumps({"nested": [obj, [], {}]}, indent=1)
+        mp.setattr(systems, "PIECE_ITEMS", piece_items)
+        blob = systems.validate({"p": 7, "forms": forms}).to_json()
+        assert_same_text("".join(_json_chunks(obj, level)), reference_text(obj, level))
+        assert_same_text("".join(_json_chunks([blob, obj], level)), reference_text([blob, obj], level))
+    assert_same_text(_json_text(obj), reference_text(obj))
+    assert_same_text(_json_text({"nested": [obj, [], {}]}), reference_text({"nested": [obj, [], {}]}))
 
 
 @pytest.mark.parametrize("level", range(4))
 def test_report_writer_indents_the_blocks_a_system_carries(level):
     """A system's `to_json` at two nesting levels, twice at one level, with
-    labels, and a system of several blocks: json.dumps's bytes at `level`."""
+    labels, and a system of several blocks: the reference layout at `level`."""
     small = phi_system(3, 4, 2)
     blob = small.to_json()
     forms = np.random.default_rng(11).integers(0, 7, (100, 90)).tolist()
@@ -733,16 +747,15 @@ def test_report_writer_indents_the_blocks_a_system_carries(level):
         "chain": {"input": blob, "steps": [{"input": small.to_json(), "output": small.to_json()}]},
         "large": large.to_json(),
     }
-    expected = json.dumps(report, indent=1).replace("\n", "\n" + " " * level)
-    assert "".join(_json_chunks(report, level)) == expected
+    assert_same_text("".join(_json_chunks(report, level)), reference_text(report, level))
 
 
 def test_report_file_is_written_in_pieces(tmp_path):
     """`--out` streams the report: writing a 2000 × 200 int matrix peaks below
-    half its text, and the file holds json.dumps's bytes and a newline."""
+    half its text, and the file holds the reference layout and a newline."""
     forms = np.random.default_rng(7).integers(0, 10**6, (2000, 200)).tolist()
     report = {"config": {"command": "reduce"}, "forms": forms}
-    text = json.dumps(report, indent=1) + "\n"
+    text = reference_text(report) + "\n"
     out = tmp_path / "report.json"
     tracemalloc.start()
     try:
@@ -751,7 +764,7 @@ def test_report_file_is_written_in_pieces(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < len(text) / 2
-    assert out.read_text(encoding="utf-8") == text
+    assert_same_text(out.read_text(encoding="utf-8"), text)
 
 
 def phi342_files(tmp_path, *at) -> tuple[str, str]:

@@ -15,7 +15,8 @@ from seqcs.complexity import (
     tensor_criterion,
     verify_witness,
 )
-from seqcs.covering import min_cover_excluding
+from seqcs import complexity
+from seqcs.covering import SearchGuardExceeded, min_cover_excluding
 from seqcs.systems import (
     LinearSystem,
     associated_set,
@@ -229,6 +230,21 @@ def test_tensor_criterion_duplicates_never_independent():
 def test_tensor_criterion_none_within_cap():
     sys_ = validate({"p": 2, "forms": [[1, 0], [0, 1], [1, 1], [1, 1, ]]})
     assert tensor_criterion(sys_, 1).value is None
+
+
+@pytest.mark.parametrize("forms, guard, k", [
+    ([[1], [2]], 100, 49),  # one variable: 2 monomial entries a level, where r·d^(k+1) stays 2
+    ([[1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 1]], 100, 2),  # 12 + 24 + 40 monomial entries, then 60 more
+])
+def test_tensor_entry_guard_counts_the_monomial_entries_made(monkeypatch, forms, guard, k):
+    """The guard counts r·C(d+k, k+1) entries at level k, summed over the
+    levels, and stops before the level that would pass it.  Each system has
+    two proportional forms, so no level is independent."""
+    system = validate({"p": 5, "forms": forms})
+    monkeypatch.setattr(complexity, "TENSOR_ENTRY_GUARD", guard)
+    with pytest.raises(SearchGuardExceeded, match=f"at k={k + 1} "):
+        tensor_criterion(system, k + 1)
+    assert len(tensor_criterion(system, k).ranks) == k + 1
 
 
 @st.composite
