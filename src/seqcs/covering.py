@@ -19,12 +19,13 @@ it serves affine spans, which are linear spans of the points lifted to
 together, the excluded ones as the tail, and makes one query per cover.
 `seqcs.complexity` walks a system's forms once with nothing excluded, which
 gives every flat, and filters that lattice for each excluded prefix.  Each
-queued closure of the walk carries the residual key of every vector outside
-it, the vector reduced modulo the closure's span and scaled to a leading 1;
-one group of equal keys is one child span, and a group that holds an
-excluded index is inadmissible.  A child's keys come from its parent's by
-one elimination step each, so no node reduces against a basis.  Zero
-vectors lie in every span, so the walk seeds them into every closure.
+queued closure of the walk carries one bitmask per residual key, a vector
+outside it reduced modulo its span and scaled to a leading 1; one group is
+one child span, inadmissible when it holds an excluded index.  A child's
+groups come from its parent's by one elimination step per distinct key, made
+once per (key, child key) pair in a memo that lives for one walk, so no node
+reduces against a basis.  Zero vectors lie in every span, so the walk seeds
+them into every closure.
 Minimum covers are exact: one branch-and-bound recursion over the set bits
 of a universe mask tries cover sizes upward, and the first size that succeeds is extracted with
 the same recursion.  A node guard, counting nodes at every size tried,
@@ -261,20 +262,23 @@ def closure_walk(vectors, excluded, p: int, node_guard: int = NODE_GUARD):
     ones; with nothing excluded its nodes are all the flats of the matroid
     that the vectors represent.
 
-    A queued closure cl carries the residual key of each vector v outside
-    it, excluded vectors included: v reduced modulo span(cl) to the part off
-    the span's pivot columns, scaled so its first nonzero entry is 1.  Two
-    vectors outside cl share a key exactly when they span the same child,
-    so a node's children are its groups of equal keys, taken in order of
-    their first index, and a child is inadmissible exactly when its group
+    A queued closure cl carries its residual keys grouped: a dict from each
+    key to the bitmask of the vectors outside cl with that key, excluded
+    vectors included.  The key of v is v reduced modulo span(cl) to the part
+    off the span's pivot columns, scaled so its first nonzero entry is 1.
+    Two vectors outside cl share a key exactly when they span the same
+    child, so a node's children are its groups, in the dict's order (that of
+    their lowest index), and a child is inadmissible exactly when its group
     holds an excluded index.  A new child found through a key k, whose
-    leading 1 is at column c, gets each remaining key r as r - r[c]·k,
-    rescaled: that is r reduced modulo the child's span, with c its new
-    pivot column.  Keys are built once, when a closure is first queued, and
-    dropped when it is visited.  Zero vectors lie in every span, so every
-    closure holds them; the seeds are the groups of the vectors themselves,
-    with the zero-only closure placed at its first zero index.  The empty
-    closure is never a node.
+    leading 1 is at column c, gets each other key r as r - r[c]·k,
+    rescaled: r reduced modulo the child's span, with c its new pivot
+    column.  Groups whose keys reduce alike merge, in the parent's order;
+    each (r, k) reduction is made once per walk and held until it returns.
+    Groups are built when a closure is first queued and dropped when it is
+    visited.  Zero vectors lie in every span, so every closure holds them;
+    the seeds are the groups of the vectors themselves, with the zero-only
+    closure, which shares their groups, placed at its first zero index.  The
+    empty closure is never a node.
 
     Entries may be any integers: they are reduced mod p once, here.  Returns
     None when an excluded vector is zero, hence inside every span.  Raises
@@ -295,40 +299,41 @@ def closure_walk(vectors, excluded, p: int, node_guard: int = NODE_GUARD):
         inv = pow(lead, -1, p)
         return tuple(x * inv % p for x in r)
 
-    def children(keys: list[tuple[int, Vector]]) -> list[tuple[int, Vector]]:
-        """(group, key) of each admissible child, in order of first index; the
-        child's closure is the parent's joined with the group."""
-        groups: dict[Vector, int] = {}
-        for j, key in keys:
-            groups[key] = groups.get(key, 0) | 1 << j
-        return [(g, key) for key, g in groups.items() if not g & banned]
-
+    memo: dict[Vector, dict[Vector, Vector]] = {}  # memo[k][r]: key r reduced by child key k
     seen: set[int] = set()
-    pending: dict[int, list[tuple[int, Vector]]] = {}
+    pending: dict[int, dict[Vector, int]] = {}
     queue: list[int] = []
 
-    def push(cl: int, keys: list[tuple[int, Vector]], kids: list[tuple[int, Vector | None]]) -> None:
-        for g, k in kids:
+    def push(cl: int, groups: dict[Vector, int], kids: list[tuple[Vector | None, int]]) -> None:
+        for k, g in kids:
             ncl = cl | g
             if ncl in seen:
                 continue
             seen.add(ncl)
             queue.append(ncl)
             if k is None:  # the zero-only closure: its span is still {0}
-                pending[ncl] = keys
+                pending[ncl] = groups
                 continue
             c = k.index(1)
-            child = []
-            for j, r in keys:
-                if not g >> j & 1:
-                    a = r[c]
-                    child.append((j, scaled(tuple((x - a * y) % p for x, y in zip(r, k))) if a else r))
+            reduced = memo.setdefault(k, {})
+            child: dict[Vector, int] = {}
+            for r, h in groups.items():
+                if h != g:  # g is the child's own group
+                    if a := r[c]:
+                        if (r_k := reduced.get(r)) is None:
+                            r_k = reduced[r] = scaled(tuple((x - a * y) % p for x, y in zip(r, k)))
+                        r = r_k
+                    child[r] = child.get(r, 0) | h
             pending[ncl] = child
 
     zeros = sum(1 << j for j, v in enumerate(vectors) if not any(v))
-    keys = [(j, scaled(v)) for j, v in enumerate(vectors) if not zeros >> j & 1]
-    seeds = children(keys) + ([(zeros, None)] if zeros else [])
-    push(zeros, keys, sorted(seeds, key=lambda kid: kid[0] & -kid[0]))  # by lowest index
+    groups: dict[Vector, int] = {}
+    for j, v in enumerate(vectors):
+        if not zeros >> j & 1:
+            key = scaled(v)
+            groups[key] = groups.get(key, 0) | 1 << j
+    seeds = [(k, g) for k, g in groups.items() if not g & banned] + ([(None, zeros)] if zeros else [])
+    push(zeros, groups, sorted(seeds, key=lambda kid: kid[1] & -kid[1]))  # by lowest index
     nodes: list[tuple[int, list[int]]] = []
     while queue:
         cl = queue.pop()
@@ -336,10 +341,10 @@ def closure_walk(vectors, excluded, p: int, node_guard: int = NODE_GUARD):
             raise SearchGuardExceeded(
                 f"closure-lattice walk passed {node_guard} nodes ({len(seen)} closures found)"
             )
-        keys = pending.pop(cl)
-        kids = children(keys)
-        push(cl, keys, kids)
-        nodes.append((cl, [cl | g for g, _ in kids]))
+        groups = pending.pop(cl)
+        kids = [(k, g) for k, g in groups.items() if not g & banned]
+        push(cl, groups, kids)
+        nodes.append((cl, [cl | g for _, g in kids]))
     return nodes
 
 
@@ -360,7 +365,7 @@ def closure_pool(vectors, excluded, p: int, node_guard: int = NODE_GUARD):
 def point_set_from_json(raw) -> tuple[Prime, int, list[Vector], list[Vector]]:
     """(p, M, points, excluded) from a point-set description, collecting all violations.
 
-    Coordinates may be arbitrary integers; they are reduced mod p on load.
+    Coordinates may be any integers, reduced mod p on load; a point then in both lists is a violation.
     """
     if not isinstance(raw, dict):
         raise InputValidationError(["point set is not a JSON object"])
@@ -388,6 +393,11 @@ def point_set_from_json(raw) -> tuple[Prime, int, list[Vector], list[Vector]]:
     prime = Prime(p)
     points = [vec(t, prime) for t in lists["points"]]
     excluded = [vec(t, prime) for t in lists["excluded"]]
+    first = {t: n for n, t in reversed(list(enumerate(points)))}  # each point's first index
+    overlap = [f"points[{first[a]}] and excluded[{n}] are the same point mod {p}: {list(a)}"
+               for n, a in enumerate(excluded) if a in first]
+    if overlap:
+        raise InputValidationError(overlap)
     return prime, M, points, excluded
 
 

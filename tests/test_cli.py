@@ -220,6 +220,16 @@ def test_cover_point_file_with_wrong_dimension_exits_2(capsys, tmp_path):
     assert "points[1] has 3 coordinates" in capsys.readouterr().err
 
 
+def test_cover_point_file_with_overlap_after_reduction_exits_2(capsys, tmp_path):
+    # (6, 1) is (1, 1) mod 5: the same point in both lists, each named by its index
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({"p": 5, "M": 2, "points": [[2, 0], [1, 1], [1, 1]], "excluded": [[0, 0], [6, 1]]}))
+    assert main(["cover", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: points[1] and excluded[1] are the same point mod 5: [1, 1]\n"
+
+
 @pytest.mark.parametrize("flags", [
     ["--phikm-origin", "--p", "3", "--k", "2", "--M", "2"],
     ["--phikm-origin"],
@@ -265,6 +275,9 @@ GOLDEN_COVERS = {
     (3, 4, 3, True): "645fe70c9b036aa395ba185b482001dfdd73b2eba4e2907b044d0ae703dcd2ca",
     (5, 4, 3, False): "04016363fbf04cc34f2fbaea2d515c6419b0069dd2a8ed03bb14ecc031edc39d",
     (5, 4, 3, True): "4adfc4fe18abd9fc2f3e7144b53cc8d819bb5703365ea9638f5376be9a0ba67e",
+    # the largest walk of the benchmark's cover jobs, pinned before each walk held its keys grouped
+    (5, 5, 3, False): "f2c2224facc68be2e9bdd5607858c99b2afdf57e1a164c2fe13a3db0d826a28d",
+    (5, 5, 3, True): "b036d21c4b11302dec7acf1e74631d9f7264637f5a574fa4063d2f9d734d9556",
 }
 GOLDEN_ANALYZE = {
     "phi562": "b064f98892993ac8abd55d4867f3d764d8cc8d23e004d530fc843ab79572d8c6",
