@@ -282,7 +282,7 @@ class LambdaEvaluator:
         digits = digit_matrix(np.arange(self._radix, dtype=np.int64), p, b)
         self._muls = {
             c: tuple(encode_point([e * x for x in digits], p) for e in (c, pow(c, -1, p)))
-            for c in {c % p for form in system.forms for c in form} - {0, 1}
+            for c in {c for form in system.forms for c in form} - {0, 1}
         }
         self._cached_actions = None
         if self.total * system.r <= 1 << 23:
@@ -307,10 +307,10 @@ class LambdaEvaluator:
         range [lo // Q, ceil(hi / Q)) of the group above it, with the
         unaligned edges sliced off.
         """
-        p, q, blocks = int(self.system.p), self._radix, self._blocks
+        q, blocks = self._radix, self._blocks
         acts = np.zeros(1, dtype=np.int64)  # the one run above the highest group
         for g in reversed(range(self.system.d * blocks)):
-            c, scale = form[g // blocks] % p, q ** (g % blocks)
+            c, scale = form[g // blocks], q ** (g % blocks)
             lo, hi = start // q**g, -(-stop // q**g)
             w = acts // scale % q if blocks > 1 else acts  # the run's value in the group's block
             if c == 1:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .covering import NODE_GUARD, SearchGuardExceeded, closure_walk, exact_set_cover, mask_indices
-from .field import SpanBasis, rank, span_basis, vec
+from .field import SpanBasis, rank, span_basis
 from .systems import InputValidationError, LinearSystem, is_integer, read_json
 
 TENSOR_ENTRY_GUARD = 10**7
@@ -136,7 +136,7 @@ def admissible_flats(system: LinearSystem, excluded, node_guard: int = NODE_GUAR
     a walk per query.  Returns None when an excluded form is zero, hence
     inside every span.
     """
-    if any(not any(x % system.p for x in system.forms[t]) for t in excluded):
+    if any(not system.rows[t].any() for t in excluded):
         return None
     banned = sum(1 << t for t in set(excluded))
     return [
@@ -274,7 +274,6 @@ def verify_witness(system: LinearSystem, cert: WitnessCertificate) -> WitnessRep
     if len(cert.covers) != len(seq):
         failures.append({"kind": "cover-count-mismatch", "covers": len(cert.covers)})
         return WitnessReport(False, failures)
-    reduced = {j: vec(system.forms[j], system.p) for j in seq}  # reduced once, not per part
     for j in range(1, len(seq) + 1):
         cover = cert.covers[j - 1]
         prefix = seq[:j]
@@ -295,9 +294,9 @@ def verify_witness(system: LinearSystem, cert: WitnessCertificate) -> WitnessRep
             key = frozenset(part)
             basis = bases.get(key)
             if basis is None:
-                basis = bases[key] = span_basis([system.forms[x] for x in key], system.p, system.d)
+                basis = bases[key] = span_basis(system.rows[list(key)], system.p, system.d)
             for target in prefix:
-                if not any(basis.reduce(reduced[target])):
+                if not any(basis.reduce(system.rows[target].tolist())):
                     failures.append(
                         {"kind": "span-contains-target", "prefix": j, "part": t, "target": target}
                     )
@@ -334,7 +333,7 @@ def tensor_criterion(system: LinearSystem, k_max: int) -> TensorCriterionResult:
     if any(not any(f) for f in forms):
         return TensorCriterionResult(None, "never independent (zero form)", ())
     ranks: list[tuple[int, int]] = []
-    rows = [tuple(x % p for x in f) for f in forms]  # the degree-1 monomials
+    rows = forms  # the degree-1 monomials
     tops = range(d)  # the largest variable of each monomial, in combinations_with_replacement order
     made = 0
     for k in range(k_max + 1):

@@ -12,10 +12,12 @@ Bulk elimination (`rref`, `span_basis`, and through them `rank` and
 each pivot is one vectorised row operation over the rows that need it.
 `complete_rows` maps a whole system through a completing transform in one
 array operation; `apply_completing` is its one-form counterpart.  Both
-array routines take their arrays from `residue_array` and are exact for
-every prime: below 2^31 they work in int64, where every product of two
-residues stays below 2^62; from 2^31 on the same code runs on Python
-integers (dtype object).
+array routines take their rows through `residue_array`: integer rows, or a
+slice of a system's store (`systems.LinearSystem.rows`, canonical residues
+in the narrowest unsigned dtype that holds p - 1), which it casts to a fresh
+array and never writes to.  They are exact for every prime: below 2^31 they
+work in int64, where every product of two residues stays below 2^62; from
+2^31 on the same code runs on Python integers (dtype object).
 """
 
 from __future__ import annotations
@@ -81,16 +83,6 @@ def identity(d: int) -> Matrix:
 
 def vec_sub(a: Sequence[int], b: Sequence[int], p: int) -> Vector:
     return tuple((x - y) % p for x, y in zip(a, b))
-
-
-def vec_mat(v: Sequence[int], m: Matrix, p: int) -> Vector:
-    """Row vector times matrix."""
-    cols = len(m[0]) if m else 0
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) % p for j in range(cols))
-
-
-def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    return tuple(vec_mat(row, b, p) for row in a)
 
 
 _INT64_EXACT_BELOW = 1 << 31  # residues below 2^31: products stay below 2^62
@@ -189,12 +181,11 @@ class SpanBasis:
         return not any(self.reduce(vec(v, self.p)))
 
 
-def span_basis(vectors: Iterable[Sequence[int]], p: int, dim: int) -> SpanBasis:
-    """Basis of span(vectors): the nonzero rows of their RREF and its pivots."""
-    rows = [tuple(v) for v in vectors]
-    if not rows:
+def span_basis(vectors, p: int, dim: int) -> SpanBasis:
+    """Basis of span(vectors), integer rows or a 2-D array: the nonzero rows of their RREF and its pivots."""
+    if not len(vectors):
         return SpanBasis(p, dim)
-    m, pivots = _rref_array(rows, p)
+    m, pivots = _rref_array(vectors, p)
     return SpanBasis(p, dim, tuple(map(tuple, m[: len(pivots)].tolist())), tuple(pivots))
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analysis import DEFAULT_POINT_GUARD, LambdaEvaluator, _trial_blocks, check_trials
 from .complexity import CoverCertificate, WitnessCertificate, verify_witness
 from .field import Matrix, complete_rows, completing_transform, identity, span_basis
@@ -32,12 +34,16 @@ class ConsistencyAlarm(AssertionError):
     """A certificate the chain built itself failed verification: a bug, not bad input."""
 
 
+def _transformed_rows(system: LinearSystem, permutation) -> np.ndarray:
+    """The forms in relabeled order after the change of variables that makes the first (1, 0, ..., 0)."""
+    return complete_rows(system.rows[list(permutation)], system.rows[permutation[0]].tolist(), system.p)
+
+
 @dataclass(frozen=True)
 class ReductionStep:
     input_system: LinearSystem
     witness: WitnessCertificate
     permutation: tuple[int, ...]  # relabeled position -> original index
-    transformed_system: LinearSystem  # relabeled input after the change of variables
     output_system: LinearSystem
     slots: tuple[tuple[int, bool], ...]  # output slot -> (relabeled input position it reads, conjugated)
     propagated: WitnessCertificate
@@ -46,7 +52,12 @@ class ReductionStep:
     def transform(self) -> Matrix:
         """The change of variables: `completing_transform` of the first relabeled
         form, built where it is read."""
-        return completing_transform(self.input_system.forms[self.permutation[0]], self.input_system.p)
+        return completing_transform(self.input_system.rows[self.permutation[0]].tolist(), self.input_system.p)
+
+    @property
+    def transformed_system(self) -> LinearSystem:
+        """The relabeled input after the change of variables, built where it is read."""
+        return LinearSystem(self.input_system.p, _transformed_rows(self.input_system, self.permutation))
 
     def to_json(self) -> dict:
         return {
@@ -86,13 +97,11 @@ def cs_step(system: LinearSystem, witness: WitnessCertificate) -> ReductionStep:
     in_seq = set(witness.sequence)
     permutation = tuple(witness.sequence) + tuple(j for j in range(r) if j not in in_seq)
     new_index = {old: new for new, old in enumerate(permutation)}
-    relabeled = [system.forms[old] for old in permutation]
-    transformed = tuple(map(tuple, complete_rows(relabeled, relabeled[0], p).tolist()))
-    assert transformed[0] == (1,) + (0,) * (d - 1)
-    transformed_system = LinearSystem(p, transformed)
-    rest, zeros = transformed[1:], (0,) * (d - 1)
+    transformed = _transformed_rows(system, permutation)
+    assert transformed[0, 0] == 1 and not transformed[0, 1:].any()
+    rest, zeros = transformed[1:], np.zeros((r - 1, d - 1), dtype=transformed.dtype)
     # first block on the shared variables, second with x shared and the rest duplicated
-    output = LinearSystem(p, tuple(f + zeros for f in rest) + tuple((f[0],) + zeros + f[1:] for f in rest))
+    output = LinearSystem(p, np.block([[rest, zeros], [rest[:, :1], zeros, rest[:, 1:]]]))
     slots = tuple((pos, conjugated) for conjugated in (False, True) for pos in range(1, r))
 
     first_cover = _relabel_cover(witness.covers[0], new_index)
@@ -111,7 +120,7 @@ def cs_step(system: LinearSystem, witness: WitnessCertificate) -> ReductionStep:
     propagated = WitnessCertificate(
         output.digest(), ell - 2, witness.k, tuple(range(ell - 1)), tuple(covers)
     )
-    return ReductionStep(system, witness, permutation, transformed_system, output, slots, propagated)
+    return ReductionStep(system, witness, permutation, output, slots, propagated)
 
 
 def merged_cover_identities(step: ReductionStep) -> dict:
@@ -136,8 +145,8 @@ def merged_cover_identities(step: ReductionStep) -> dict:
 
     for level, cover in enumerate(step.propagated.covers):
         for t, part in enumerate(cover.parts):
-            d1 = [out.forms[x] for x in part if x <= r - 2]
-            d2 = [out.forms[x] for x in part if x >= r - 1]
+            d1 = [out.rows[x] for x in part if x <= r - 2]
+            d2 = [out.rows[x] for x in part if x >= r - 1]
             dim1, dim2 = dim_sum(d1), dim_sum(d2)
             checks = {
                 "d1_in_u1": dim_sum(d1, u1) == len(u1),

@@ -4,8 +4,13 @@ A system is an ordered list of r linear forms in d variables, stored as the
 rows of an r×d matrix over F_p.  Forms are ordered because certificates refer
 to form indices; duplicate and zero forms are allowed but flagged.
 
-A system encodes its forms to compact JSON once, in the row blocks of
-`row_blocks`, and keeps the text: its digest hashes the blocks joined, and
+A system keeps its forms in one store, `LinearSystem.rows`: a read-only
+array of canonical residues, reduced once when the system is built, in the
+narrowest unsigned dtype that holds p - 1 (dtype object past uint64), whose
+slices the kernels of `seqcs.field` take as they are.  `forms`, the rows as
+int tuples, is made once per instance for code that walks forms one at a
+time.  The forms are encoded to compact JSON once, in the row blocks of
+`row_blocks`, and the text is kept: the digest hashes the blocks joined, and
 `to_json` hands them to the report writer with the forms (`FormRows`), which
 writes them one row per line by splitting that text, so a system written into
 a report twice is still encoded once.
@@ -18,38 +23,26 @@ import json
 from dataclasses import dataclass, field
 from itertools import product
 
-from .field import (
-    Matrix,
-    Prime,
-    Vector,
-    is_prime,
-    mat_mul,
-    rank,
-    solve_right,
-    vec,
-)
+import numpy as np
+
+from .field import Matrix, Prime, Vector, is_prime, rank, residue_array, solve_right
 
 
 PIECE_ITEMS = 1 << 13  # items per row block; `json`'s encoder holds one string per item until it joins them
 compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def row_blocks(rows):
-    """The compact JSON of a list of rows, cut into blocks of whole rows.
+def row_blocks(rows: np.ndarray):
+    """The compact JSON of a 2-D array's rows, cut into blocks of whole rows.
 
     Yields each block as it is encoded.  A block holds at most PIECE_ITEMS
     items, or one longer row, and is the text between the brackets of its
     rows' compact JSON, so the blocks joined by `,` are the compact text of
-    `rows` without its brackets.
+    `rows.tolist()` without its brackets.
     """
-    start = held = 0
-    for end, row in enumerate(rows):
-        if held and held + len(row) > PIECE_ITEMS:
-            yield compact_json(rows[start:end])[1:-1]
-            start, held = end, 0
-        held += len(row)
-    if start < len(rows):
-        yield compact_json(rows[start:])[1:-1]
+    step = max(1, PIECE_ITEMS // rows.shape[1])
+    for start in range(0, len(rows), step):
+        yield compact_json(rows[start : start + step].tolist())[1:-1]
 
 
 class FormRows(list):
@@ -60,8 +53,8 @@ class FormRows(list):
 
     __slots__ = ("blocks",)
 
-    def __init__(self, forms, blocks: tuple[str, ...]):
-        super().__init__(map(list, forms))
+    def __init__(self, rows: list, blocks: tuple[str, ...]):
+        super().__init__(rows)
         self.blocks = blocks
 
 
@@ -82,35 +75,51 @@ def is_integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """An ordered system of linear forms over F_p, optionally labelled.
 
-    Instances are frozen, so each memoises what it derives from its forms:
-    the compact JSON of the forms in row blocks (`form_blocks`), the digest
-    and the flats.  The blocks live as long as the system.
+    Built from any integer rows, which become the store `rows`.  Instances
+    are frozen, so each memoises what it derives from its forms: the int
+    tuples (`forms`), the compact JSON of the forms in row blocks
+    (`form_blocks`), the digest and the flats.  The blocks live as long as
+    the system.
     """
 
     p: Prime
-    forms: tuple[Vector, ...]
+    rows: np.ndarray
     labels: tuple[str, ...] | None = None
-    _blocks: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
+    _forms: tuple[Vector, ...] | None = field(default=None, init=False, repr=False)
+    _blocks: tuple[str, ...] | None = field(default=None, init=False, repr=False)
+    _digest: str | None = field(default=None, init=False, repr=False)
     # the flats of the forms, memoised by `complexity.flat_lattice`
-    _flats: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _flats: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        # uint8, uint16, uint32 or uint64, the narrowest that holds p - 1, and object past uint64
+        rows = residue_array(self.rows, self.p).astype(np.min_scalar_type(self.p - 1), copy=False)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def r(self) -> int:
-        return len(self.forms)
+        return self.rows.shape[0]
 
     @property
     def d(self) -> int:
-        return len(self.forms[0])
+        return self.rows.shape[1]
+
+    @property
+    def forms(self) -> tuple[Vector, ...]:
+        """The rows as int tuples, made once per instance."""
+        if self._forms is None:
+            object.__setattr__(self, "_forms", tuple(map(tuple, self.rows.tolist())))
+        return self._forms
 
     def form_blocks(self) -> tuple[str, ...]:
         """`row_blocks` of the forms, encoded once per instance."""
         if self._blocks is None:
-            object.__setattr__(self, "_blocks", tuple(row_blocks(self.forms)))
+            object.__setattr__(self, "_blocks", tuple(row_blocks(self.rows)))
         return self._blocks
 
     def canonical_json(self) -> str:
@@ -131,7 +140,7 @@ class LinearSystem:
     def to_json(self) -> dict:
         """Plain JSON data: p, the forms as a list of lists carrying
         `form_blocks` (`FormRows`), and the labels when there are any."""
-        out = {"p": int(self.p), "forms": FormRows(self.forms, self.form_blocks())}
+        out = {"p": int(self.p), "forms": FormRows(self.rows.tolist(), self.form_blocks())}
         if self.labels is not None:
             out["labels"] = list(self.labels)
         return out
@@ -158,7 +167,7 @@ class AssociatedSet:
 def validate(raw: dict) -> LinearSystem:
     """Build a LinearSystem from a raw description, collecting all violations.
 
-    Entries may be arbitrary integers; they are reduced mod p on load.
+    Entries may be arbitrary integers; the system's store reduces them mod p.
     """
     if not isinstance(raw, dict):
         raise SystemValidationError(["system is not a JSON object"])
@@ -192,10 +201,7 @@ def validate(raw: dict) -> LinearSystem:
             violations.append(f"labels length {len(labels_raw)} != number of forms {len(forms_raw)}")
     if violations:
         raise SystemValidationError(violations)
-    p = Prime(p_raw)
-    forms = tuple(vec(row, p) for row in forms_raw)
-    labels = tuple(labels_raw) if labels_raw is not None else None
-    return LinearSystem(p, forms, labels)
+    return LinearSystem(Prime(p_raw), forms_raw, tuple(labels_raw) if labels_raw is not None else None)
 
 
 def system_flags(system: LinearSystem) -> dict:
@@ -240,18 +246,17 @@ def normalize_translation_invariant(
     not in the column space of Ψ.  Deterministic: the first column of R is
     the RREF solution c with free variables zero, and the others are e_t for
     every t except the last index L where c is nonzero, in order of t; R is
-    invertible because c_L != 0.
+    invertible because c_L != 0.  So Ψ·R needs no product: its column 0 is
+    Ψ·c, all ones, and the others are Ψ's columns t != L in order.
     """
-    p = system.p
     d = system.d
-    ones = tuple(1 for _ in range(system.r))
-    c = solve_right(system.forms, ones, p)
+    c = solve_right(system.forms, (1,) * system.r, system.p)
     if c is None:
         return None
     last = max(j for j, x in enumerate(c) if x)  # c != 0, since Ψ·c is all ones
-    cols = [c] + [tuple(1 if j == t else 0 for j in range(d)) for t in range(d) if t != last]
-    transform = tuple(tuple(col[i] for col in cols) for i in range(d))
-    return change_of_variables(system, transform), transform
+    transform = tuple((c[i],) + tuple(int(i == t) for t in range(d) if t != last) for i in range(d))
+    normalized = tuple((1,) + f[:last] + f[last + 1 :] for f in system.forms)
+    return LinearSystem(system.p, normalized, system.labels), transform
 
 
 def associated_set(system: LinearSystem) -> AssociatedSet:
@@ -275,10 +280,6 @@ def image_is_translation_invariant(system: LinearSystem) -> bool:
     for x in product(range(p), repeat=system.d):
         image.add(tuple(sum(f[j] * x[j] for j in range(system.d)) % p for f in system.forms))
     return all(tuple((y[i] + 1) % p for i in range(len(y))) in image for y in image)
-
-
-def change_of_variables(system: LinearSystem, transform: Matrix) -> LinearSystem:
-    return LinearSystem(system.p, mat_mul(system.forms, transform, system.p), system.labels)
 
 
 def random_invertible(p: int, d: int, rng) -> Matrix:

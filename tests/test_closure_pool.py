@@ -20,11 +20,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from seqcs.complexity import admissible_cover, admissible_flats, flat_lattice
 from seqcs.covering import AffineSubspace, SearchGuardExceeded, closure_pool, closure_walk, mask_indices
-from seqcs.field import SpanBasis, Vector, completing_transform, mat_mul, rank, span_basis, vec
+from seqcs.field import SpanBasis, Vector, completing_transform, rank, span_basis, vec
 from seqcs.phi_km import phi_system, s_km_points
 from seqcs.systems import LinearSystem, validate
 
-from test_field import PRIME_ABOVE_2_31, affine_oracle, extended, mat_inverse, span_oracle
+from test_field import PRIME_ABOVE_2_31, affine_oracle, extended, mat_inverse, mat_mul, span_oracle
 
 PRIMES = st.sampled_from([3, 5])
 EXAMPLES = settings(max_examples=40)

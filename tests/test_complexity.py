@@ -20,7 +20,6 @@ from seqcs.covering import SearchGuardExceeded, min_cover_excluding
 from seqcs.systems import (
     LinearSystem,
     associated_set,
-    change_of_variables,
     random_invertible,
     validate,
 )
@@ -28,6 +27,7 @@ from seqcs.field import rank
 from seqcs.phi_km import phi_system, phi_witness_certificate, s_km_points
 
 from test_field import reference_rref, tensor_power
+from test_systems import change_of_variables
 
 REMARK_F7 = validate({"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 3], [1, 2, 3], [1, 3, 3]]})
 REMARK_F23 = validate({"p": 23, "forms": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 10, 1], [1, 1, 2], [1, 2, 2]]})

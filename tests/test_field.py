@@ -21,12 +21,21 @@ from seqcs.field import (
     rref,
     span_basis,
     vec,
-    vec_mat,
     Prime,
 )
 
 PRIME_BELOW_2_31 = 2**31 - 1
 PRIME_ABOVE_2_31 = 2**31 + 11
+
+
+def vec_mat(v, m: Matrix, p: int):
+    """Row vector times matrix, entry by entry."""
+    cols = len(m[0]) if m else 0
+    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) % p for j in range(cols))
+
+
+def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
+    return tuple(vec_mat(row, b, p) for row in a)
 
 
 def mat_inverse(m: Matrix, p: int) -> Matrix | None:

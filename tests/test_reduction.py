@@ -1,6 +1,7 @@
 import pytest
 
 import seqcs.analysis as analysis
+from seqcs import cli
 from seqcs.analysis import FunctionTable, lambda_average
 from seqcs.complexity import WitnessCertificate, admissible_cover, sequential_witness, verify_witness
 from seqcs.phi_km import phi_system, phi_witness_certificate, s_km_points
@@ -157,6 +158,16 @@ def test_chain_remark_slot_tracking():
     assert (chain.base_index, False) in occ and len(occ) == 2
     # the squared-away first witness form disappears from the final system
     assert occurrences(chain, 0) == []
+
+
+def test_chain_path_builds_no_form_tuples():
+    """Building, serializing and writing the phi(3,4,2) origin chain reads every system's
+    residue store only: no system makes the per-entry tuples of `forms`."""
+    chain = build_chain(phi_system(3, 4, 2), phi_witness_certificate(3, 4, 2))
+    assert len(chain.steps) == 7
+    "".join(cli._json_chunks(chain.to_json()))
+    systems = [s for step in chain.steps for s in (step.input_system, step.output_system)]
+    assert [s._forms for s in systems] == [None] * len(systems)
 
 
 def test_chain_truncation_cap():

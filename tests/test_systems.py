@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from seqcs import systems
 from seqcs.analysis import lambda_average, random_one_bounded
-from seqcs.field import identity, mat_mul
+from seqcs.field import Matrix, identity, vec
 from seqcs.systems import (
     LinearSystem,
     SystemValidationError,
     associated_set,
-    change_of_variables,
     image_is_translation_invariant,
     normalize_translation_invariant,
     random_invertible,
@@ -22,8 +21,15 @@ from seqcs.systems import (
     validate,
 )
 
+from test_field import mat_mul
+
 REMARK_F7 = {"p": 7, "forms": [[1, 1, 0], [1, 0, 1], [1, 0, 2], [1, 1, 3], [1, 2, 3], [1, 3, 3]]}
 REMARK_F23 = {"p": 23, "forms": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 10, 1], [1, 1, 2], [1, 2, 2]]}
+
+
+def change_of_variables(system: LinearSystem, transform: Matrix) -> LinearSystem:
+    """The system Ψ·R for an invertible R, by the matrix product."""
+    return LinearSystem(system.p, mat_mul(system.forms, transform, system.p), system.labels)
 
 
 def test_validate_well_formed():
@@ -87,11 +93,20 @@ def assert_digest_is_the_dumped_definition(system: LinearSystem) -> None:
     assert ",".join(system.form_blocks()) == text[len('{"forms":['):text.rindex('],"p":')]
 
 
-SYSTEMS = st.sampled_from([2, 3, 7, 2**61 - 1]).flatmap(
+# primes on both sides of each store dtype's bound (validate checks that they are prime);
+# 2^64 + 13 is past uint64, so its store is dtype object
+STORE_DTYPES = {2: "uint8", 3: "uint8", 7: "uint8", 251: "uint8", 257: "uint16", 65537: "uint32",
+                2**61 - 1: "uint64", 2**64 + 13: "object"}
+SYSTEMS = st.sampled_from(list(STORE_DTYPES)).flatmap(
     lambda p: st.integers(1, 6).flatmap(
         lambda d: st.fixed_dictionaries({
             "p": st.just(p),
-            "forms": st.lists(st.lists(st.integers(-2 * p, 2 * p), min_size=d, max_size=d), min_size=1, max_size=7),
+            # entries that are negative, at least p, or past int64
+            "forms": st.lists(
+                st.lists(st.integers(-2 * p, 2 * p) | st.integers(-(2**70), 2**70), min_size=d, max_size=d),
+                min_size=1,
+                max_size=7,
+            ),
         })
     )
 )
@@ -100,12 +115,20 @@ SYSTEMS = st.sampled_from([2, 3, 7, 2**61 - 1]).flatmap(
 @settings(max_examples=300)
 @given(SYSTEMS, st.sampled_from([1, 2, 5, systems.PIECE_ITEMS]), st.booleans())
 def test_digest_is_the_sha256_of_the_dumped_definition(raw, piece_items, labelled):
-    """Blocks of any size join to the bytes of the sorted-key compact `json.dumps`; labels stay out."""
+    """Blocks of any size join to the bytes of the sorted-key compact `json.dumps`; labels stay out.
+
+    The store holds each entry reduced mod p, read-only, in the narrowest dtype that holds p - 1."""
     if labelled:
         raw = {**raw, "labels": [f"f{i}" for i in range(len(raw["forms"]))]}
+    p = raw["p"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(systems, "PIECE_ITEMS", piece_items)
         system = validate(raw)
+        assert system.rows.dtype == np.dtype(STORE_DTYPES[p])
+        assert system.rows.tolist() == [[e % p for e in row] for row in raw["forms"]]
+        with pytest.raises(ValueError, match="read-only"):
+            system.rows[0, 0] = 0
+        assert system.forms == tuple(vec(row, p) for row in raw["forms"])
         assert_digest_is_the_dumped_definition(system)
         assert system.to_json()["forms"].blocks is system.form_blocks()
 
